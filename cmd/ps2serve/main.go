@@ -29,14 +29,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ps2serve: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("ps2serve listening on %s\n", bound)
 
+	// Install the handler before the banner: the banner tells callers the
+	// server is up, so a signal sent right after it must already shut down
+	// cleanly (Close makes Serve return) instead of killing the process.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
 		<-sig
 		srv.Close()
 	}()
+	fmt.Printf("ps2serve listening on %s\n", bound)
 
 	if err := srv.Serve(); err != nil {
 		fmt.Fprintf(os.Stderr, "ps2serve: %v\n", err)

@@ -25,8 +25,10 @@ type Shard struct {
 
 	// dirty[r] is set by every mutating RPC that lands on row r and cleared
 	// when a checkpoint snapshot is taken, so delta checkpoints skip rows
-	// that are guaranteed unchanged (see diffCount).
-	dirty []bool
+	// that are guaranteed unchanged (see diffCount). allDirty stands for
+	// every row at once: an undeclared mutation (touchAll) sets it.
+	dirty    []bool
+	allDirty bool
 
 	// Version stamps for the worker-side cache's if-modified-since protocol,
 	// allocated only when the matrix has versioning enabled (see versions.go).
@@ -124,14 +126,14 @@ func (sh *Shard) bytes(cost cluster.CostModel) float64 {
 
 // diffCount returns how many elements differ between the live shard cur and
 // its previous snapshot prev — the entry count a delta checkpoint ships as
-// (index, value) pairs. Rows whose dirty flag is clear have not been mutated
-// since the snapshot was taken and are skipped without scanning; dirty rows
-// are still element-compared, so the count (and hence the checkpoint wire
-// size) is exactly what a full scan would produce.
+// (index, value) pairs. Rows whose dirty flag is clear (and allDirty unset)
+// have not been mutated since the snapshot was taken and are skipped without
+// scanning; dirty rows are still element-compared, so the count (and hence
+// the checkpoint wire size) is exactly what a full scan would produce.
 func diffCount(prev, cur *Shard) int {
 	n := 0
 	for r := range cur.Rows {
-		if cur.dirty != nil && !cur.dirty[r] {
+		if !cur.allDirty && !cur.dirty[r] {
 			continue
 		}
 		pr := prev.Rows[r]

@@ -5,7 +5,8 @@ package ps
 //
 //   - every live shard carries per-row dirty flags, set whenever a mutating
 //     RPC lands on the row, so delta checkpoints can skip rows that are
-//     guaranteed unchanged instead of scanning every element;
+//     guaranteed unchanged instead of scanning every element; a mutation
+//     that declares no rows sets one shard-wide flag instead;
 //   - when a matrix has versioning enabled (a CachedClient was attached), the
 //     shard additionally stamps every changed element and row with a
 //     monotonically increasing shard version, the "last-modified" side of the
@@ -145,11 +146,10 @@ func (sh *Shard) commitMutate(rows []int, snap [][]float64) {
 
 // touchAll conservatively marks every row dirty and (when versioned) every
 // element changed — the fallback for mutations that don't declare the rows
-// they write.
+// they write. Marking every row is one flag, so an unversioned shard pays
+// O(1) per undeclared mutation.
 func (sh *Shard) touchAll() {
-	for r := range sh.dirty {
-		sh.dirty[r] = true
-	}
+	sh.allDirty = true
 	// An undeclared mutation has no pre-images to preserve, so active
 	// ModelSnapshot pins can no longer reconstruct their pinned values:
 	// fence them rather than risk a torn read (serve.go).
@@ -181,6 +181,7 @@ func (sh *Shard) TouchAll() { sh.touchAll() }
 // clearDirty resets the dirty flags, called when a checkpoint snapshot is
 // taken so the next delta ships only rows mutated since.
 func (sh *Shard) clearDirty() {
+	sh.allDirty = false
 	for r := range sh.dirty {
 		sh.dirty[r] = false
 	}

@@ -9,13 +9,12 @@
 // behaviour of simulated NICs rather than being hard-coded formulas.
 //
 // Determinism: events are ordered by (time, sequence number); processes only
-// run one at a time and hand control back to the scheduler explicitly, so a
+// run one at a time and hand control to each other explicitly, so a
 // simulation with seeded randomness produces bit-identical results on every
 // run.
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -35,7 +34,8 @@ type Sim struct {
 	now       Time
 	events    eventHeap
 	seq       uint64
-	sched     chan struct{} // signalled by a process when it yields control
+	deadline  Time          // RunUntil's horizon: later events are not delivered
+	idle      chan struct{} // signalled when control returns to RunUntil
 	live      []*Proc       // processes that have started and not yet finished
 	stopped   bool
 	processed uint64 // events delivered so far (observability)
@@ -47,7 +47,7 @@ type Sim struct {
 
 // New creates an empty simulation at virtual time zero.
 func New() *Sim {
-	return &Sim{sched: make(chan struct{})}
+	return &Sim{idle: make(chan struct{})}
 }
 
 // Now returns the current virtual time in seconds.
@@ -58,45 +58,110 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) EventsProcessed() uint64 { return s.processed }
 
 type event struct {
-	t         Time
-	seq       uint64
-	p         *Proc
-	cancelled bool
+	t   Time
+	seq uint64
+	p   *Proc
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before is the delivery order: by time, ties broken by scheduling sequence.
+func (e event) before(o event) bool {
+	if e.t != o.t {
+		return e.t < o.t
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+	return e.seq < o.seq
 }
 
-// schedule enqueues a wake-up for p at time t and returns the event so the
-// caller can cancel it.
-func (s *Sim) schedule(t Time, p *Proc) *event {
+// eventHeap is a binary min-heap of events stored by value, so scheduling
+// allocates nothing once the backing array has grown to the run's peak.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	*h = q
+}
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the *Proc reference
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(q[c]) {
+				c++
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// schedule enqueues a wake-up for p at time t. A stopped simulation
+// delivers nothing more, so it drops the wake-up.
+func (s *Sim) schedule(t Time, p *Proc) {
 	if s.stopped {
-		return &event{cancelled: true}
+		return
 	}
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	ev := &event{t: t, seq: s.seq, p: p}
-	heap.Push(&s.events, ev)
-	return ev
+	s.events.push(event{t: t, seq: s.seq, p: p})
+}
+
+// dispatch pops the next deliverable event, advances the clock to it and
+// returns the process to wake. It returns nil when the run is over: no
+// events remain, the next one lies past the deadline, or the simulation has
+// stopped. Only the process holding control (or RunUntil, before the first
+// wake) calls it, so the heap needs no lock.
+func (s *Sim) dispatch() *Proc {
+	for len(s.events) > 0 && !s.stopped {
+		ev := s.events.pop()
+		if ev.p.dead {
+			continue
+		}
+		if ev.t > s.deadline {
+			break
+		}
+		s.now = ev.t
+		s.processed++
+		return ev.p
+	}
+	return nil
+}
+
+// handoff passes control to the next process due, or back to RunUntil when
+// the run is over. The caller must block (or exit) right after.
+func (s *Sim) handoff(next *Proc) {
+	if next == nil {
+		s.idle <- struct{}{}
+		return
+	}
+	next.wake <- wakeMsg{}
 }
 
 // Proc is a simulated process. All blocking operations (Sleep, resource
@@ -159,7 +224,8 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// procExit removes p from the live set and returns control to the scheduler.
+// procExit removes p from the live set and passes control on: to the next
+// process due while the simulation runs, or back to stop while it unwinds.
 func (s *Sim) procExit(p *Proc) {
 	p.dead = true
 	for i, q := range s.live {
@@ -168,14 +234,23 @@ func (s *Sim) procExit(p *Proc) {
 			break
 		}
 	}
-	s.sched <- struct{}{}
+	if s.stopped {
+		s.idle <- struct{}{}
+		return
+	}
+	s.handoff(s.dispatch())
 }
 
-// yield hands control back to the scheduler and blocks until the process is
-// woken again. It must only be called after arranging a future wake-up
-// (a scheduled event or membership in some waiter list).
+// yield delivers the next event itself and blocks until the process is woken
+// again. When that event is the process's own wake-up it simply returns,
+// with no goroutine switch. It must only be called after arranging a future
+// wake-up (a scheduled event or membership in some waiter list).
 func (p *Proc) yield() {
-	p.sim.sched <- struct{}{}
+	next := p.sim.dispatch()
+	if next == p {
+		return
+	}
+	p.sim.handoff(next)
 	if msg := <-p.wake; msg.stop {
 		panic(stopUnwind{})
 	}
@@ -209,19 +284,15 @@ func (s *Sim) Run() {
 // RunUntil executes events with time <= deadline, then stops the simulation:
 // remaining events are discarded and all live processes are unwound. The
 // simulation cannot be resumed afterwards.
+//
+// RunUntil only wakes the first process. From then on each process that
+// blocks or exits delivers the next event itself, and control comes back
+// here once the run is over.
 func (s *Sim) RunUntil(deadline Time) {
-	for s.events.Len() > 0 && !s.stopped {
-		ev := heap.Pop(&s.events).(*event)
-		if ev.cancelled || ev.p.dead {
-			continue
-		}
-		if ev.t > deadline {
-			break
-		}
-		s.now = ev.t
-		s.processed++
-		ev.p.wake <- wakeMsg{}
-		<-s.sched
+	s.deadline = deadline
+	if next := s.dispatch(); next != nil {
+		next.wake <- wakeMsg{}
+		<-s.idle
 	}
 	s.stop()
 	if s.failure != nil {
@@ -235,7 +306,7 @@ func (s *Sim) stop() {
 	for len(s.live) > 0 {
 		p := s.live[0]
 		p.wake <- wakeMsg{stop: true}
-		<-s.sched
+		<-s.idle
 	}
 	s.events = nil
 }

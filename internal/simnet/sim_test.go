@@ -1,10 +1,14 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
@@ -528,4 +532,263 @@ func TestSlowDownStretchesCompute(t *testing.T) {
 	if n.WorkRate() != 25 {
 		t.Fatal("SlowDown(0) should be a no-op")
 	}
+}
+
+// popOrderScenario exercises every wake-up source the kernel has — Sleep(0),
+// Resource FIFO handover, Mailbox receive, Signal broadcast, Group join and a
+// Spawn issued from inside a running process — and records (Now, name) at
+// every wake. The scheduler's (time, sequence) pop order is the determinism
+// contract every golden trace and BENCH_*.json rests on, so the recording is
+// pinned verbatim in TestPopOrderPinned.
+func popOrderScenario() ([]string, uint64) {
+	s := New()
+	var log []string
+	rec := func(p *Proc, what string) {
+		log = append(log, fmt.Sprintf("%g %s", p.Now(), what))
+	}
+	nic := s.NewResource(1)
+	mb := s.NewMailbox()
+	sig := s.NewSignal()
+	s.Spawn("a", func(p *Proc) {
+		p.Sleep(0)
+		rec(p, "a:slept0")
+		nic.Acquire(p)
+		rec(p, "a:acquired")
+		p.Sleep(1)
+		nic.Release()
+		mb.Put("from-a")
+		rec(p, "a:put")
+		p.Sleep(0.5)
+		sig.Fire()
+		rec(p, "a:fired")
+	})
+	s.Spawn("b", func(p *Proc) {
+		p.Sleep(0)
+		rec(p, "b:slept0")
+		nic.Acquire(p)
+		rec(p, "b:acquired")
+		p.Sleep(0.25)
+		nic.Release()
+		rec(p, "b:released")
+		rec(p, "b:got "+mb.Get(p).(string))
+	})
+	s.Spawn("c", func(p *Proc) {
+		sig.Wait(p)
+		rec(p, "c:signalled")
+		g := s.NewGroup()
+		g.Go("c1", func(p *Proc) {
+			p.Sleep(0.125)
+			rec(p, "c1:slept")
+		})
+		g.Go("c2", func(p *Proc) {
+			p.Sleep(0)
+			rec(p, "c2:slept0")
+			s.Spawn("c3", func(p *Proc) {
+				rec(p, "c3:started")
+				nic.Use(p, 0.0625)
+				rec(p, "c3:used")
+			})
+			rec(p, "c2:spawned")
+		})
+		g.Wait(p)
+		rec(p, "c:joined")
+	})
+	s.Spawn("d", func(p *Proc) {
+		rec(p, "d:got "+mb.Get(p).(string))
+	})
+	s.Spawn("e", func(p *Proc) {
+		p.Sleep(1)
+		rec(p, "e:slept")
+		mb.Put("from-e")
+		nic.Use(p, 0.5)
+		rec(p, "e:used")
+	})
+	s.Run()
+	return log, s.EventsProcessed()
+}
+
+func TestPopOrderPinned(t *testing.T) {
+	want := []string{
+		"0 a:slept0",
+		"0 a:acquired",
+		"0 b:slept0",
+		"1 e:slept",
+		"1 a:put",
+		"1 d:got from-e",
+		"1 b:acquired",
+		"1.25 b:released",
+		"1.25 b:got from-a",
+		"1.5 a:fired",
+		"1.5 c:signalled",
+		"1.5 c2:slept0",
+		"1.5 c2:spawned",
+		"1.5 c3:started",
+		"1.625 c1:slept",
+		"1.625 c:joined",
+		"1.75 e:used",
+		"1.8125 c3:used",
+	}
+	got, events := popOrderScenario()
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("pop order changed:\ngot:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if events != 24 {
+		t.Fatalf("EventsProcessed = %d, want 24", events)
+	}
+}
+
+// runWithin runs f and fails the test if it has not returned within a
+// generous bound, so a kernel deadlock fails loudly instead of hanging.
+func runWithin(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// settleGoroutines waits for the goroutine count to fall back to base:
+// unwound processes finish their last channel handoff before they exit.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, started with %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestRunEmptySimReturns(t *testing.T) {
+	runWithin(t, "Run on an empty sim", func() { New().Run() })
+	runWithin(t, "RunUntil on an empty sim", func() { New().RunUntil(5) })
+	s := New()
+	runWithin(t, "Run after Run", func() {
+		s.Run()
+		s.Run()
+	})
+}
+
+func TestPanicWithBlockedProcessesUnwinds(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var msg any
+	runWithin(t, "Run with a panicking process", func() {
+		defer func() { msg = recover() }()
+		s := New()
+		sig := s.NewSignal()
+		mb := s.NewMailbox()
+		nic := s.NewResource(1)
+		s.Spawn("holder", func(p *Proc) {
+			nic.Acquire(p)
+			sig.Wait(p)
+		})
+		s.Spawn("queued", func(p *Proc) { nic.Acquire(p) })
+		s.Spawn("receiver", func(p *Proc) { mb.Get(p) })
+		s.Spawn("waiter", func(p *Proc) { sig.Wait(p) })
+		s.Spawn("bad", func(p *Proc) {
+			p.Sleep(1)
+			panic("boom")
+		})
+		s.Spawn("unstarted", func(p *Proc) {
+			p.Sleep(2)
+			t.Error("process resumed after another process panicked")
+		})
+		s.Run()
+	})
+	if got, ok := msg.(string); !ok || !strings.Contains(got, `"bad"`) || !strings.Contains(got, "boom") {
+		t.Fatalf("Run re-panicked with %v, want the process name and message", msg)
+	}
+	settleGoroutines(t, base)
+}
+
+func TestRunUntilUnwindsBlockedProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	unwound := 0
+	runWithin(t, "RunUntil with blocked processes", func() {
+		s := New()
+		sig := s.NewSignal()
+		for i := 0; i < 8; i++ {
+			s.Spawn("ticker", func(p *Proc) {
+				defer func() { unwound++ }()
+				for {
+					p.Sleep(1)
+				}
+			})
+			s.Spawn("waiter", func(p *Proc) {
+				defer func() { unwound++ }()
+				sig.Wait(p)
+			})
+		}
+		s.RunUntil(3.5)
+		if s.Now() != 3 {
+			t.Errorf("stopped at %v, want 3", s.Now())
+		}
+	})
+	if unwound != 16 {
+		t.Fatalf("%d processes unwound, want 16", unwound)
+	}
+	settleGoroutines(t, base)
+}
+
+// TestHandoffZeroAlloc is the kernel's allocation contract: in steady state
+// (heap grown, every process spawned) delivering an event allocates nothing.
+// It runs without -race in scripts/check.sh, where the counts are exact.
+func TestHandoffZeroAlloc(t *testing.T) {
+	const procs = 64
+	s := New()
+	var allocs float64
+	stop := false
+	for i := 0; i < procs-1; i++ {
+		s.Spawn("sleeper", func(p *Proc) {
+			for !stop {
+				p.Sleep(1e-3)
+			}
+		})
+	}
+	s.Spawn("meter", func(p *Proc) {
+		// One run = one Sleep of the meter, during which every other
+		// process sleeps once too: procs events.
+		allocs = testing.AllocsPerRun(200, func() { p.Sleep(1e-3) })
+		stop = true
+	})
+	s.Run()
+	if perEvent := allocs / procs; perEvent != 0 {
+		t.Fatalf("%v allocs/event in steady state, want 0", perEvent)
+	}
+}
+
+// BenchmarkHandoff measures the kernel alone: 64 processes sleeping in a
+// loop, so every event is one process-to-process handoff. One op is one
+// delivered event; ns/event and allocs/event are reported from the exact
+// event count.
+func BenchmarkHandoff(b *testing.B) {
+	const procs = 64
+	s := New()
+	for i := 0; i < procs; i++ {
+		n := b.N / procs
+		if i < b.N%procs {
+			n++
+		}
+		s.Spawn("sleeper", func(p *Proc) {
+			for j := 0; j < n; j++ {
+				p.Sleep(1e-3)
+			}
+		})
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	s.Run()
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	events := float64(s.EventsProcessed())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/events, "allocs/event")
 }

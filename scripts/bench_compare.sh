@@ -11,7 +11,9 @@
 #   scripts/bench_compare.sh [baseline-ref] [bench-regex] [pkg ...]
 #
 # Defaults: baseline-ref=HEAD (compare your uncommitted work against the
-# committed tree), regex=Hotpath, pkg=./internal/linalg/. Environment knobs:
+# committed tree), regex='Hotpath|Handoff', pkg=./internal/linalg/ and
+# ./internal/simnet/ (the linalg kernels and the simulation kernel's
+# per-event handoff). Environment knobs:
 #
 #   BENCH_THRESHOLD  max allowed ns/op regression in percent (default 10)
 #   BENCH_COUNT      runs per benchmark; the best is kept (default 5)
@@ -29,12 +31,12 @@ cd "$(dirname "$0")/.."
 
 ref="${1:-HEAD}"
 [ $# -gt 0 ] && shift
-pattern="${1:-Hotpath}"
+pattern="${1:-Hotpath|Handoff}"
 [ $# -gt 0 ] && shift
 if [ $# -gt 0 ]; then
 	pkgs="$*"
 else
-	pkgs="./internal/linalg/"
+	pkgs="./internal/linalg/ ./internal/simnet/"
 fi
 threshold="${BENCH_THRESHOLD:-10}"
 count="${BENCH_COUNT:-5}"

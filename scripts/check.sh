@@ -51,7 +51,13 @@ go run ./cmd/ps2bench -exp ext-consistency -quick | grep -q "legacy Staleness fi
 # Hot-path allocation contract, re-run WITHOUT the race detector: the
 # zero-alloc guards promise exact counts in the instrumentation-free build
 # that production runs, and -race (above) measures the instrumented build.
-go test -count=1 -run 'ZeroAlloc|TestExtHotpathShape' ./internal/wire/ ./internal/linalg/ ./internal/bench/
+# The simnet guard pins the kernel's steady-state 0 allocs per event.
+go test -count=1 -run 'ZeroAlloc|TestExtHotpathShape' ./internal/wire/ ./internal/linalg/ ./internal/simnet/ ./internal/bench/
+
+# Host-time benchmark self-test: perfbench is a Go module of its own, so the
+# root ./... above does not reach it. Checks BENCHMARK.json/README sync, the
+# metric contract, profile decoding and server teardown.
+(cd perfbench && go test ./...)
 
 # Benchmark smoke gate: every benchmark in the repo must still run to
 # completion (one iteration each) so `make bench` cannot rot unnoticed.
