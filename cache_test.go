@@ -30,7 +30,7 @@ func runLRParts(t *testing.T, ds *data.ClassifyDataset, cfg lr.Config, parts int
 			t.Errorf("train: %v", err)
 			return
 		}
-		loss = lr.EvalLoss(lr.Logistic, ds.Instances, model.Weights.Pull(p, engine.Driver()))
+		loss = lr.EvalLoss(lr.Logistic, ds.Instances, rdd.Must(model.Weights.TryPull(p, engine.Driver())))
 	})
 	return loss, float64(end), engine
 }

@@ -60,7 +60,7 @@ func runLR(t *testing.T, ds *data.ClassifyDataset, cfg lr.Config, faults *FaultP
 			t.Errorf("train: %v", err)
 			return
 		}
-		loss = lr.EvalLoss(lr.Logistic, ds.Instances, model.Weights.Pull(p, engine.Driver()))
+		loss = lr.EvalLoss(lr.Logistic, ds.Instances, rdd.Must(model.Weights.TryPull(p, engine.Driver())))
 	})
 	return loss, float64(end), engine
 }
@@ -171,7 +171,7 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 			init[c] = math.Sin(float64(c)) // every column nonzero: copies must carry it
 		}
 		for r := 0; r < rows; r++ {
-			mat.SetRow(p, worker, r, init)
+			rdd.Check(mat.TrySetRow(p, worker, r, init))
 		}
 		m.Checkpoint(p, mat)
 		g := p.Sim().NewGroup()
@@ -182,7 +182,7 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 				if err != nil {
 					panic(err)
 				}
-				mat.PushAdd(cp, engine.Cluster.Executors[1], 0, sv)
+				rdd.Check(mat.TryPushAdd(cp, engine.Cluster.Executors[1], 0, sv))
 			}
 		})
 		if servers >= 8 {
@@ -216,7 +216,7 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 		g.Wait(p)
 		res.rows = make([][]float64, rows)
 		for r := 0; r < rows; r++ {
-			res.rows[r] = mat.PullRow(p, engine.Driver(), r)
+			res.rows[r] = rdd.Must(mat.TryPullRow(p, engine.Driver(), r))
 		}
 		res.settled = m.DedupSettled()
 	})

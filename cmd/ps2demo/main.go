@@ -110,7 +110,9 @@ func main() {
 			log.Fatal(err)
 		}
 		trace = model.Trace
-		weights = model.Weights.Pull(p, engine.Driver())
+		if weights, err = model.Weights.TryPull(p, engine.Driver()); err != nil {
+			log.Fatal(err)
+		}
 	})
 
 	fmt.Printf("trained %d iterations (%s) on %d executors / %d servers in %.2fs simulated\n",

@@ -15,30 +15,40 @@ import (
 func Example_dcv() {
 	engine := ps2.NewEngine(ps2.DefaultOptions())
 	engine.Run(func(p *ps2.Proc) {
+		// Every operator returns an error (ps2.ErrServerDown when a shard
+		// stays unreachable); this example treats any error as fatal.
+		check := func(err error) {
+			if err != nil {
+				panic(err)
+			}
+		}
+		driver := engine.Driver()
 		// val weight = DCV.dense(dim, 4)
 		weight, err := engine.DCV.Dense(p, 1000, 4)
-		if err != nil {
-			panic(err)
-		}
+		check(err)
 		// val velocity = DCV.derive(weight).fill(0.0)  (and friends)
-		velocity := weight.MustDerive().Fill(p, engine.Driver(), 0)
-		gradient := weight.MustDerive().Fill(p, engine.Driver(), 1)
+		velocity, err := weight.Derive()
+		check(err)
+		check(velocity.TryFill(p, driver, 0))
+		gradient, err := weight.Derive()
+		check(err)
+		check(gradient.TryFill(p, driver, 1))
 		fmt.Println("derived co-located:", weight.Colocated(velocity))
 
 		// Server-side element-wise computation across co-located DCVs.
-		velocity.Axpy(p, engine.Driver(), 2, gradient)
-		sum := velocity.Sum(p, engine.Driver())
+		check(velocity.TryAxpy(p, driver, 2, gradient))
+		sum, err := velocity.TrySum(p, driver)
+		check(err)
 		fmt.Println("velocity sum after axpy:", sum)
 
 		// Figure 4's "inefficient writing": independent DCVs are not
 		// co-located; dot still works via a server-to-server shuffle.
 		other, err := engine.DCV.Dense(p, 1000, 1)
-		if err != nil {
-			panic(err)
-		}
-		other.Fill(p, engine.Driver(), 3)
+		check(err)
+		check(other.TryFill(p, driver, 3))
 		fmt.Println("independent co-located:", weight.Colocated(other))
-		dot := gradient.Dot(p, engine.Driver(), other)
+		dot, err := gradient.TryDot(p, driver, other)
+		check(err)
 		fmt.Println("dot across placements:", dot)
 	})
 	// Output:

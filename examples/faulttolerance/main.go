@@ -53,7 +53,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			w = model.Weights.Pull(p, engine.Driver())
+			if w, err = model.Weights.TryPull(p, engine.Driver()); err != nil {
+				log.Fatal(err)
+			}
 		})
 		return w, end, engine
 	}
@@ -111,10 +113,17 @@ func main() {
 			}
 			mat := model.Weights.Matrix()
 			engine.PS.Checkpoint(p, mat)
-			lossBefore := lr.EvalLoss(lr.Logistic, ds.Instances, model.Weights.Pull(p, engine.Driver()))
+			loss := func() float64 {
+				w, err := model.Weights.TryPull(p, engine.Driver())
+				if err != nil {
+					log.Fatal(err)
+				}
+				return lr.EvalLoss(lr.Logistic, ds.Instances, w)
+			}
+			lossBefore := loss()
 			engine.PS.KillServer(2)
 			engine.PS.RecoverServer(p, 2)
-			lossAfter := lr.EvalLoss(lr.Logistic, ds.Instances, model.Weights.Pull(p, engine.Driver()))
+			lossAfter := loss()
 			fmt.Printf("loss before crash %.4f, after checkpoint recovery %.4f (model state survived server 2's crash)\n",
 				lossBefore, lossAfter)
 		})

@@ -38,7 +38,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			acc = lr.Accuracy(instances, model.Weights.Pull(p, engine.Driver()))
+			w, err := model.Weights.TryPull(p, engine.Driver())
+			if err != nil {
+				log.Fatal(err)
+			}
+			acc = lr.Accuracy(instances, w)
 		})
 		fmt.Printf("logistic regression: accuracy %.1f%% (chance ~50%%: no linear separator exists)\n", 100*acc)
 	}
@@ -61,10 +65,15 @@ func main() {
 				log.Fatal(err)
 			}
 			firstLoss, lastLoss = model.Trace.Values[0], model.Trace.Final()
-			w := model.Weights.Pull(p, engine.Driver())
+			w, err := model.Weights.TryPull(p, engine.Driver())
+			if err != nil {
+				log.Fatal(err)
+			}
 			factors := make([][]float64, len(model.Factors))
 			for f, v := range model.Factors {
-				factors[f] = v.Pull(p, engine.Driver())
+				if factors[f], err = v.TryPull(p, engine.Driver()); err != nil {
+					log.Fatal(err)
+				}
 			}
 			acc = fm.Accuracy(instances, w, factors)
 		})

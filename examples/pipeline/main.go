@@ -123,7 +123,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		w := model.Weights.Pull(p, engine.Driver())
+		w, err := model.Weights.TryPull(p, engine.Driver())
+		if err != nil {
+			log.Fatal(err)
+		}
 		all := rdd.Collect(p, instances, 64)
 		acc = lr.Accuracy(all, w)
 	})

@@ -45,7 +45,9 @@ func main() {
 			log.Fatal(err)
 		}
 		trace = model.Trace
-		weights = model.Weights.Pull(p, engine.Driver())
+		if weights, err = model.Weights.TryPull(p, engine.Driver()); err != nil {
+			log.Fatal(err)
+		}
 	})
 
 	fmt.Printf("trained %d iterations of LR+Adam in %.2fs of simulated cluster time\n", cfg.Iterations, end)

@@ -219,7 +219,7 @@ func TestPullPushAdamMatchesZipAdam(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			w = m.Weights.Pull(p, e.Driver())
+			w = rdd.Must(m.Weights.TryPull(p, e.Driver()))
 		})
 		return w, end
 	}

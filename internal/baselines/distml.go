@@ -49,7 +49,7 @@ func TrainLRDistML(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 				return stat{}
 			}
 			// Full dense pull (no sparse support in DistML's interface)...
-			_ = mat.PullRow(tc.P, tc.Node, 0)
+			_ = rdd.Must(mat.TryPullRow(tc.P, tc.Node, 0))
 			// ...but the gradient is computed against the stale snapshot:
 			// other workers' pushes from this round land before this pull in
 			// wall-clock order, yet DistML's async client gives no
@@ -74,7 +74,7 @@ func TrainLRDistML(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 			if err != nil {
 				panic(err)
 			}
-			mat.PushAdd(tc.P, tc.Node, 0, sv)
+			rdd.Check(mat.TryPushAdd(tc.P, tc.Node, 0, sv))
 			return stat{Loss: lossSum, N: len(rows)}
 		})
 		var lossSum float64

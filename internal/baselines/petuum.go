@@ -53,7 +53,7 @@ func TrainLRPetuum(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 				return stat{}
 			}
 			// Full-model pull: the whole dense vector from every server.
-			w := mat.PullRow(tc.P, tc.Node, 0)
+			w := rdd.Must(mat.TryPullRow(tc.P, tc.Node, 0))
 			g, lossSum := lr.BatchGradient(cfg.Objective, rows, func(i int) float64 { return w[i] })
 			tc.Charge(cost.GradWork(lr.TotalNnz(rows)))
 			tc.Commit()
@@ -71,7 +71,7 @@ func TrainLRPetuum(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 			if err != nil {
 				panic(err)
 			}
-			mat.PushAdd(tc.P, tc.Node, 0, sv)
+			rdd.Check(mat.TryPushAdd(tc.P, tc.Node, 0, sv))
 			return stat{Loss: lossSum, N: len(rows)}
 		})
 		var lossSum float64

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dcv"
 	"repro/internal/ml/lr"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -70,10 +71,10 @@ func (a *PullPushAdam) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector,
 	for _, exec := range e.Cluster.Executors {
 		exec := exec
 		g.Go("ps-adam-update", func(cp *simnet.Proc) {
-			wv := w.Pull(cp, exec)
-			vv := a.velocity.Pull(cp, exec)
-			sv := a.square.Pull(cp, exec)
-			gv := grad.Pull(cp, exec)
+			wv := rdd.Must(w.TryPull(cp, exec))
+			vv := rdd.Must(a.velocity.TryPull(cp, exec))
+			sv := rdd.Must(a.square.TryPull(cp, exec))
+			gv := rdd.Must(grad.TryPull(cp, exec))
 			exec.Compute(cp, cost.ElemWork(3*len(wv)))
 			for k := range wv {
 				gi := gv[k] * scale
@@ -81,9 +82,9 @@ func (a *PullPushAdam) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector,
 				vv[k] = a.Beta2*vv[k] + (1-a.Beta2)*gi
 				wv[k] -= a.LearningRate * (vv[k] / corr2) / (math.Sqrt(sv[k]/corr1) + a.Epsilon)
 			}
-			w.Set(cp, exec, wv)
-			a.velocity.Set(cp, exec, vv)
-			a.square.Set(cp, exec, sv)
+			rdd.Check(w.TrySet(cp, exec, wv))
+			rdd.Check(a.velocity.TrySet(cp, exec, vv))
+			rdd.Check(a.square.TrySet(cp, exec, sv))
 		})
 	}
 	g.Wait(p)

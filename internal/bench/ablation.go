@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dcv"
 	"repro/internal/ml/lr"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -36,7 +37,7 @@ func runAblationColocation(o Opts) *Result {
 			}
 			var b *dcv.Vector
 			if coloc {
-				b = a.MustDerive()
+				b = rdd.Must(a.Derive())
 			} else {
 				if b, err = e.DCV.Dense(p, dim, 2); err != nil {
 					panic(err)
@@ -44,8 +45,8 @@ func runAblationColocation(o Opts) *Result {
 			}
 			start := p.Now()
 			for i := 0; i < ops; i++ {
-				a.Dot(p, e.Driver(), b)
-				a.Axpy(p, e.Driver(), 0.5, b)
+				rdd.Must(a.TryDot(p, e.Driver(), b))
+				rdd.Check(a.TryAxpy(p, e.Driver(), 0.5, b))
 			}
 			elapsed = p.Now() - start
 		})
@@ -92,13 +93,13 @@ func runAblationSparsePull(o Opts) *Result {
 			worker := e.Cluster.Executors[0]
 			start := p.Now()
 			if nnz == dim {
-				v.Pull(p, worker)
+				rdd.Must(v.TryPull(p, worker))
 			} else {
 				idx := make([]int, nnz)
 				for i := range idx {
 					idx[i] = i * (dim / nnz)
 				}
-				v.PullIndices(p, worker, idx)
+				rdd.Must(v.TryPullIndices(p, worker, idx))
 			}
 			elapsed = p.Now() - start
 		})
@@ -135,11 +136,11 @@ func runAblationServers(o Opts) *Result {
 			if err != nil {
 				panic(err)
 			}
-			b := a.MustDerive()
+			b := rdd.Must(a.Derive())
 			worker := e.Cluster.Executors[0]
 			start := p.Now()
 			for i := 0; i < ops; i++ {
-				a.Dot(p, worker, b)
+				rdd.Must(a.TryDot(p, worker, b))
 			}
 			elapsed = p.Now() - start
 		})

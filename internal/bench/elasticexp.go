@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/ps"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -172,12 +173,12 @@ func runElasticArm(o Opts, w elasticWorkload, name string, bootServers int,
 					if err != nil {
 						panic(err)
 					}
-					mat.PushAdd(cp, node, 0, sv)
+					rdd.Check(mat.TryPushAdd(cp, node, 0, sv))
 				})
 			}
 			g.Wait(p)
 		}
-		res.Final = mat.PullRow(p, e.Driver(), 0)
+		res.Final = rdd.Must(mat.TryPullRow(p, e.Driver(), 0))
 	})
 	snap := e.Snapshot()
 	res.EndSec = float64(end)

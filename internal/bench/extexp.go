@@ -216,10 +216,10 @@ func runExtFM(o Opts) *Result {
 		if err != nil {
 			panic(err)
 		}
-		w := model.Weights.Pull(p, eFM.Driver())
+		w := rdd.Must(model.Weights.TryPull(p, eFM.Driver()))
 		factors := make([][]float64, len(model.Factors))
 		for f, v := range model.Factors {
-			factors[f] = v.Pull(p, eFM.Driver())
+			factors[f] = rdd.Must(v.TryPull(p, eFM.Driver()))
 		}
 		fmAcc = fm.Accuracy(instances, w, factors)
 	})
@@ -235,7 +235,7 @@ func runExtFM(o Opts) *Result {
 		if err != nil {
 			panic(err)
 		}
-		lrAcc = lr.Accuracy(instances, model.Weights.Pull(p, eLR.Driver()))
+		lrAcc = lr.Accuracy(instances, rdd.Must(model.Weights.TryPull(p, eLR.Driver())))
 	})
 
 	r.AddRow("FM (K=8)", fmTime, fmAcc)

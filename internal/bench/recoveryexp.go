@@ -8,6 +8,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/ml/lr"
 	"repro/internal/ps"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -71,7 +72,7 @@ func runExtRecovery(o Opts) *Result {
 			if err != nil {
 				panic(err)
 			}
-			loss = lr.EvalLoss(lr.Logistic, ds.Instances, model.Weights.Pull(p, e.Driver()))
+			loss = lr.EvalLoss(lr.Logistic, ds.Instances, rdd.Must(model.Weights.TryPull(p, e.Driver())))
 		})
 		return outcome{loss: loss, end: end, e: e}
 	}
@@ -139,7 +140,7 @@ func runExtChaos(o Opts) *Result {
 			if err != nil {
 				panic(err)
 			}
-			loss = lr.EvalLoss(lr.Logistic, ds.Instances, model.Weights.Pull(p, e.Driver()))
+			loss = lr.EvalLoss(lr.Logistic, ds.Instances, rdd.Must(model.Weights.TryPull(p, e.Driver())))
 		})
 		return loss, end, e
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dcv"
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -44,7 +45,7 @@ func runTable1(o Opts) *Result {
 				panic(err)
 			}
 		})
-		measure("creation", "derive", func() { w = v.MustDerive() })
+		measure("creation", "derive", func() { w = rdd.Must(v.Derive()) })
 		var sp *dcv.Vector
 		measure("creation", "sparse", func() {
 			var err error
@@ -59,38 +60,38 @@ func runTable1(o Opts) *Result {
 		for i := range vals {
 			vals[i] = float64(i%100) / 100
 		}
-		v.Set(p, worker, vals)
-		w.Set(p, worker, vals)
+		rdd.Check(v.TrySet(p, worker, vals))
+		rdd.Check(w.TrySet(p, worker, vals))
 
-		measure("row access", "pull", func() { v.Pull(p, worker) })
+		measure("row access", "pull", func() { rdd.Must(v.TryPull(p, worker)) })
 		idx := make([]int, 1000)
 		for i := range idx {
 			idx[i] = i * (dim / 1000)
 		}
-		measure("row access", "pull (sparse)", func() { v.PullIndices(p, worker, idx) })
+		measure("row access", "pull (sparse)", func() { rdd.Must(v.TryPullIndices(p, worker, idx)) })
 		delta, err := linalg.NewSparse(idx, make([]float64, len(idx)))
 		if err != nil {
 			panic(err)
 		}
-		measure("row access", "push (add)", func() { v.Add(p, worker, delta) })
-		measure("row access", "sum", func() { v.Sum(p, worker) })
-		measure("row access", "nnz", func() { v.Nnz(p, worker) })
-		measure("row access", "norm2", func() { v.Norm2(p, worker) })
+		measure("row access", "push (add)", func() { rdd.Check(v.TryAdd(p, worker, delta)) })
+		measure("row access", "sum", func() { rdd.Must(v.TrySum(p, worker)) })
+		measure("row access", "nnz", func() { rdd.Must(v.TryNnz(p, worker)) })
+		measure("row access", "norm2", func() { rdd.Must(v.TryNorm2(p, worker)) })
 
-		measure("column access", "dot", func() { v.Dot(p, worker, w) })
-		measure("column access", "axpy", func() { v.Axpy(p, driver, 0.5, w) })
-		measure("column access", "add", func() { v.AddVec(p, driver, w) })
-		measure("column access", "sub", func() { v.SubVec(p, driver, w) })
-		measure("column access", "mul", func() { v.MulVec(p, driver, w) })
-		measure("column access", "div", func() { v.DivVec(p, driver, w) })
-		measure("column access", "copy", func() { v.CopyFrom(p, driver, w) })
+		measure("column access", "dot", func() { rdd.Must(v.TryDot(p, worker, w)) })
+		measure("column access", "axpy", func() { rdd.Check(v.TryAxpy(p, driver, 0.5, w)) })
+		measure("column access", "add", func() { rdd.Check(v.TryAddVec(p, driver, w)) })
+		measure("column access", "sub", func() { rdd.Check(v.TrySubVec(p, driver, w)) })
+		measure("column access", "mul", func() { rdd.Check(v.TryMulVec(p, driver, w)) })
+		measure("column access", "div", func() { rdd.Check(v.TryDivVec(p, driver, w)) })
+		measure("column access", "copy", func() { rdd.Check(v.TryCopyFrom(p, driver, w)) })
 		measure("column access", "zip+mapPartition", func() {
-			v.ZipMap(p, driver, 2, func(lo int, rows [][]float64) {
+			rdd.Check(v.TryZipMap(p, driver, 2, func(lo int, rows [][]float64) {
 				a, b := rows[0], rows[1]
 				for i := range a {
 					a[i] += 0.1 * b[i]
 				}
-			}, w)
+			}, w))
 		})
 	})
 	r.Note("column-access operators move only commands and scalars: compare their wire KB against the row-access pull")

@@ -16,6 +16,11 @@ import (
 // server-to-server shuffle ships the operand's range before the computation —
 // the cost the paper's Figure 4 warns about and that the derive operator
 // exists to avoid.
+//
+// Every operator returns its error: ErrNotColocated/ErrPartitionMismatch for
+// incompatible operands, ps.ErrServerDown or simnet.ErrNodeDown when a shard
+// stays unreachable. There are no panicking twins; callers with no error
+// return wrap the call in rdd.Must or rdd.Check.
 
 // ShardSpan describes one server's slice of a zip computation: the owned
 // dimensions and, for each operand vector, the aligned value slice. Under
@@ -81,7 +86,7 @@ func (v *Vector) zipInvoke(p *simnet.Proc, from *simnet.Node, others []*Vector,
 	cost := v.sess.Master.Cl.Cost
 	errs := make([]error, v.mat.Part.NumServers())
 	g := p.Sim().NewGroup()
-	// fn may mutate the target row and any co-located operand row (ZipMap's
+	// fn may mutate the target row and any co-located operand row (TryZipMap's
 	// contract); shuffled operands are fetched copies, never live memory.
 	touched := []int{v.row}
 	for _, ov := range others {
@@ -168,15 +173,6 @@ func (v *Vector) TryDot(p *simnet.Proc, from *simnet.Node, other *Vector) (float
 	return total, err
 }
 
-// Dot is TryDot panicking on operand or availability errors.
-func (v *Vector) Dot(p *simnet.Proc, from *simnet.Node, other *Vector) float64 {
-	d, err := v.TryDot(p, from, other)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // TryAxpy computes v += alpha*other server-side (the paper's iaxpy used in
 // the DeepWalk update, Figure 6).
 func (v *Vector) TryAxpy(p *simnet.Proc, from *simnet.Node, alpha float64, other *Vector) error {
@@ -186,23 +182,9 @@ func (v *Vector) TryAxpy(p *simnet.Proc, from *simnet.Node, alpha float64, other
 	})
 }
 
-// Axpy is TryAxpy panicking on operand or availability errors.
-func (v *Vector) Axpy(p *simnet.Proc, from *simnet.Node, alpha float64, other *Vector) {
-	if err := v.TryAxpy(p, from, alpha, other); err != nil {
-		panic(err)
-	}
-}
-
 // TryAddVec computes v += other element-wise, server-side.
 func (v *Vector) TryAddVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
 	return v.elementwise(p, from, other, linalg.Add)
-}
-
-// AddVec is TryAddVec panicking on operand or availability errors.
-func (v *Vector) AddVec(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TryAddVec(p, from, other); err != nil {
-		panic(err)
-	}
 }
 
 // TrySubVec computes v -= other element-wise, server-side.
@@ -210,23 +192,9 @@ func (v *Vector) TrySubVec(p *simnet.Proc, from *simnet.Node, other *Vector) err
 	return v.elementwise(p, from, other, linalg.Sub)
 }
 
-// SubVec is TrySubVec panicking on operand or availability errors.
-func (v *Vector) SubVec(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TrySubVec(p, from, other); err != nil {
-		panic(err)
-	}
-}
-
 // TryMulVec computes v *= other element-wise, server-side.
 func (v *Vector) TryMulVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
 	return v.elementwise(p, from, other, linalg.Mul)
-}
-
-// MulVec is TryMulVec panicking on operand or availability errors.
-func (v *Vector) MulVec(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TryMulVec(p, from, other); err != nil {
-		panic(err)
-	}
 }
 
 // TryDivVec computes v /= other element-wise, server-side. Division by zero
@@ -236,23 +204,9 @@ func (v *Vector) TryDivVec(p *simnet.Proc, from *simnet.Node, other *Vector) err
 	return v.elementwise(p, from, other, linalg.Div)
 }
 
-// DivVec is TryDivVec panicking on operand or availability errors.
-func (v *Vector) DivVec(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TryDivVec(p, from, other); err != nil {
-		panic(err)
-	}
-}
-
 // TryCopyFrom overwrites v with other, server-side.
 func (v *Vector) TryCopyFrom(p *simnet.Proc, from *simnet.Node, other *Vector) error {
 	return v.elementwise(p, from, other, func(dst, src []float64) { copy(dst, src) })
-}
-
-// CopyFrom is TryCopyFrom panicking on operand or availability errors.
-func (v *Vector) CopyFrom(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TryCopyFrom(p, from, other); err != nil {
-		panic(err)
-	}
 }
 
 // elementwise dispatches one in-place dense kernel (dst op= src) per shard;
@@ -275,16 +229,9 @@ func (v *Vector) TryScale(p *simnet.Proc, from *simnet.Node, alpha float64) erro
 	})
 }
 
-// Scale is TryScale panicking on exhausted retries, mirroring the plain/Try
-// split of the PS client's row operators.
-func (v *Vector) Scale(p *simnet.Proc, from *simnet.Node, alpha float64) {
-	if err := v.TryScale(p, from, alpha); err != nil {
-		panic(err)
-	}
-}
-
-// TryFill sets every element to c, server-side, returning an error when a
-// shard stays unreachable (the vector may then be partially filled).
+// TryFill sets every element to c, server-side — the paper's
+// `DCV.derive(weight).fill(0.0)` idiom. When a shard stays unreachable the
+// vector may be left partially filled.
 func (v *Vector) TryFill(p *simnet.Proc, from *simnet.Node, c float64) error {
 	cost := v.sess.Master.Cl.Cost
 	return v.zipInvoke(p, from, nil, 0, cost.FlopsPerElem, func(sp ShardSpan) {
@@ -292,26 +239,11 @@ func (v *Vector) TryFill(p *simnet.Proc, from *simnet.Node, c float64) error {
 	})
 }
 
-// Fill sets every element to c, server-side, and returns v for chaining —
-// the paper's `DCV.derive(weight).fill(0.0)` idiom. It panics on exhausted
-// retries; fault-tolerant callers use TryFill.
-func (v *Vector) Fill(p *simnet.Proc, from *simnet.Node, c float64) *Vector {
-	if err := v.TryFill(p, from, c); err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// TryZero resets the vector to zero server-side, returning an error when a
-// shard stays unreachable.
+// TryZero resets the vector to zero server-side — `gradient.zero()` in the
+// paper's training loops.
 func (v *Vector) TryZero(p *simnet.Proc, from *simnet.Node) error {
 	return v.TryFill(p, from, 0)
 }
-
-// Zero resets the vector to zero server-side — `gradient.zero()` in the
-// paper's training loops. It panics on exhausted retries; fault-tolerant
-// callers use TryZero.
-func (v *Vector) Zero(p *simnet.Proc, from *simnet.Node) { v.Fill(p, from, 0) }
 
 // TryZipMap runs fn over every shard with all operand slices aligned in
 // server memory — the general server-side computation behind the paper's
@@ -331,15 +263,7 @@ func (v *Vector) TryZipMap(p *simnet.Proc, from *simnet.Node, workPerElem float6
 	})
 }
 
-// ZipMap is TryZipMap panicking on operand or availability errors.
-func (v *Vector) ZipMap(p *simnet.Proc, from *simnet.Node, workPerElem float64,
-	fn func(lo int, rows [][]float64), others ...*Vector) {
-	if err := v.TryZipMap(p, from, workPerElem, fn, others...); err != nil {
-		panic(err)
-	}
-}
-
-// ZipReduce runs fn over every shard like ZipMap and collects one result per
+// ZipReduce runs fn over every shard like TryZipMap and collects one result per
 // shard at the caller, each costing respBytes on the wire. It powers GBDT's
 // server-side split finding, where each server returns its best local split.
 func ZipReduce[R any](p *simnet.Proc, from *simnet.Node, v *Vector, workPerElem, respBytes float64,

@@ -7,7 +7,8 @@
 // lets element-wise operators (dot, add, mul, axpy, zip) run entirely
 // server-side, with only scalars on the wire.
 //
-// The operator set mirrors the paper's Table 1:
+// The operator set mirrors the paper's Table 1 (each server-touching
+// operator X is the method TryX):
 //
 //	Row access:    Pull, Push(Add), Sum, Nnz, Norm2
 //	Column access: Axpy, Dot, Copy, Sub, Add, Mul, Div (and ZipMap/ZipReduce)
@@ -120,24 +121,13 @@ func (v *Vector) Derive() (*Vector, error) {
 	return &Vector{sess: v.sess, mat: v.mat, row: next, sparse: v.sparse}, nil
 }
 
-// MustDerive is Derive for initialization paths where exhaustion is a
-// programming error.
-func (v *Vector) MustDerive() *Vector {
-	d, err := v.Derive()
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // --- Row access operators (worker <-> server data movement) ---
 //
-// Each operator comes in two forms, following the repo-wide convention
-// documented in ARCHITECTURE.md: TryX returns a typed error when a shard's
-// server stays unreachable (wrapping ps.ErrServerDown) or the calling machine
-// is down (wrapping simnet.ErrNodeDown); the plain form delegates to TryX and
-// panics on those errors, for reliable runs and tests. Argument errors (bad
-// index slice, wrong dimension) panic in both forms.
+// Each operator has one form, following the repo-wide convention documented
+// in ARCHITECTURE.md: TryX returns a typed error when a shard's server stays
+// unreachable (wrapping ps.ErrServerDown) or the calling machine is down
+// (wrapping simnet.ErrNodeDown). Callers with no error return wrap it in
+// rdd.Must or rdd.Check. Argument errors (wrong dimension) panic.
 
 // TryPull fetches the whole vector to the caller's machine. For sparse DCVs
 // the transfer is charged by stored nonzeros.
@@ -148,7 +138,9 @@ func (v *Vector) TryPull(p *simnet.Proc, from *simnet.Node) ([]float64, error) {
 	return v.mat.TryPullRow(p, from, v.row)
 }
 
-// Pull is TryPull panicking on availability errors.
+// Pull is TryPull panicking on an availability error. It is the one
+// panicking twin left in this package, kept because the host-time benchmark
+// (perfbench/, a module of its own) calls it; new code uses TryPull.
 func (v *Vector) Pull(p *simnet.Proc, from *simnet.Node) []float64 {
 	row, err := v.TryPull(p, from)
 	if err != nil {
@@ -161,15 +153,6 @@ func (v *Vector) Pull(p *simnet.Proc, from *simnet.Node) []float64 {
 // sparse pull used when a mini-batch touches a small feature subset.
 func (v *Vector) TryPullIndices(p *simnet.Proc, from *simnet.Node, indices []int) ([]float64, error) {
 	return v.mat.TryPullRowIndices(p, from, v.row, indices)
-}
-
-// PullIndices is TryPullIndices panicking on availability errors.
-func (v *Vector) PullIndices(p *simnet.Proc, from *simnet.Node, indices []int) []float64 {
-	vals, err := v.TryPullIndices(p, from, indices)
-	if err != nil {
-		panic(err)
-	}
-	return vals
 }
 
 // PinSnapshot pins a snapshot-consistent view of the vector's raw matrix at
@@ -200,23 +183,9 @@ func (v *Vector) TryAdd(p *simnet.Proc, from *simnet.Node, delta *linalg.SparseV
 	return v.mat.TryPushAdd(p, from, v.row, delta)
 }
 
-// Add is TryAdd panicking on availability errors.
-func (v *Vector) Add(p *simnet.Proc, from *simnet.Node, delta *linalg.SparseVector) {
-	if err := v.TryAdd(p, from, delta); err != nil {
-		panic(err)
-	}
-}
-
 // TryAddDense pushes a dense delta into the vector.
 func (v *Vector) TryAddDense(p *simnet.Proc, from *simnet.Node, delta []float64) error {
 	return v.mat.TryPushAddDense(p, from, v.row, delta)
-}
-
-// AddDense is TryAddDense panicking on availability errors.
-func (v *Vector) AddDense(p *simnet.Proc, from *simnet.Node, delta []float64) {
-	if err := v.TryAddDense(p, from, delta); err != nil {
-		panic(err)
-	}
 }
 
 // TrySet overwrites the vector with the given values.
@@ -224,21 +193,9 @@ func (v *Vector) TrySet(p *simnet.Proc, from *simnet.Node, values []float64) err
 	return v.mat.TrySetRow(p, from, v.row, values)
 }
 
-// Set is TrySet panicking on availability errors.
-func (v *Vector) Set(p *simnet.Proc, from *simnet.Node, values []float64) {
-	if err := v.TrySet(p, from, values); err != nil {
-		panic(err)
-	}
-}
-
 // TryPush overwrites the vector (paper terminology for writing a row).
 func (v *Vector) TryPush(p *simnet.Proc, from *simnet.Node, values []float64) error {
 	return v.TrySet(p, from, values)
-}
-
-// Push is TryPush panicking on availability errors.
-func (v *Vector) Push(p *simnet.Proc, from *simnet.Node, values []float64) {
-	v.Set(p, from, values)
 }
 
 // TrySum returns the sum of all elements, computed server-side.
@@ -246,39 +203,12 @@ func (v *Vector) TrySum(p *simnet.Proc, from *simnet.Node) (float64, error) {
 	return v.mat.TryRowSum(p, from, v.row)
 }
 
-// Sum is TrySum panicking on availability errors.
-func (v *Vector) Sum(p *simnet.Proc, from *simnet.Node) float64 {
-	s, err := v.TrySum(p, from)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // TryNnz returns the number of nonzero elements, computed server-side.
 func (v *Vector) TryNnz(p *simnet.Proc, from *simnet.Node) (int, error) {
 	return v.mat.TryRowNnz(p, from, v.row)
 }
 
-// Nnz is TryNnz panicking on availability errors.
-func (v *Vector) Nnz(p *simnet.Proc, from *simnet.Node) int {
-	n, err := v.TryNnz(p, from)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // TryNorm2 returns the Euclidean norm, computed server-side.
 func (v *Vector) TryNorm2(p *simnet.Proc, from *simnet.Node) (float64, error) {
 	return v.mat.TryRowNorm2(p, from, v.row)
-}
-
-// Norm2 is TryNorm2 panicking on availability errors.
-func (v *Vector) Norm2(p *simnet.Proc, from *simnet.Node) float64 {
-	n, err := v.TryNorm2(p, from)
-	if err != nil {
-		panic(err)
-	}
-	return n
 }

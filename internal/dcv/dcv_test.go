@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/linalg"
 	"repro/internal/ps"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -41,9 +42,9 @@ func TestDenseDeriveColocation(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		v := w.MustDerive()
-		s := w.MustDerive()
-		g := w.MustDerive()
+		v := rdd.Must(w.Derive())
+		s := rdd.Must(w.Derive())
+		g := rdd.Must(w.Derive())
 		if !w.Colocated(v) || !w.Colocated(s) || !w.Colocated(g) {
 			t.Error("derived vectors not co-located")
 		}
@@ -92,22 +93,22 @@ func TestFillPullSetRoundTrip(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		v, _ := sess.Dense(p, 50)
 		worker := cl.Executors[0]
-		v.Fill(p, cl.Driver, 2.5)
-		got := v.Pull(p, worker)
+		rdd.Check(v.TryFill(p, cl.Driver, 2.5))
+		got := rdd.Must(v.TryPull(p, worker))
 		for i, x := range got {
 			if x != 2.5 {
 				t.Errorf("after fill, [%d] = %v", i, x)
 			}
 		}
-		v.Set(p, worker, seq(50))
-		got = v.Pull(p, worker)
+		rdd.Check(v.TrySet(p, worker, seq(50)))
+		got = rdd.Must(v.TryPull(p, worker))
 		for i, x := range got {
 			if x != float64(i) {
 				t.Errorf("after set, [%d] = %v", i, x)
 			}
 		}
-		v.Zero(p, cl.Driver)
-		if v.Sum(p, worker) != 0 {
+		rdd.Check(v.TryZero(p, cl.Driver))
+		if rdd.Must(v.TrySum(p, worker)) != 0 {
 			t.Error("zero did not clear the vector")
 		}
 	})
@@ -118,14 +119,14 @@ func TestRowAggregatesViaDCV(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		v, _ := sess.Dense(p, 10)
 		w := cl.Executors[0]
-		v.Set(p, w, []float64{3, 0, 4, 0, 0, 0, 0, 0, 0, 0})
-		if got := v.Sum(p, w); got != 7 {
+		rdd.Check(v.TrySet(p, w, []float64{3, 0, 4, 0, 0, 0, 0, 0, 0, 0}))
+		if got := rdd.Must(v.TrySum(p, w)); got != 7 {
 			t.Errorf("Sum = %v", got)
 		}
-		if got := v.Nnz(p, w); got != 2 {
+		if got := rdd.Must(v.TryNnz(p, w)); got != 2 {
 			t.Errorf("Nnz = %v", got)
 		}
-		if got := v.Norm2(p, w); math.Abs(got-5) > 1e-9 {
+		if got := rdd.Must(v.TryNorm2(p, w)); math.Abs(got-5) > 1e-9 {
 			t.Errorf("Norm2 = %v", got)
 		}
 	})
@@ -135,12 +136,12 @@ func TestDotColocatedCorrect(t *testing.T) {
 	sim, cl, sess := testSession(4)
 	run(sim, func(p *simnet.Proc) {
 		a, _ := sess.Dense(p, 64, 2)
-		b := a.MustDerive()
+		b := rdd.Must(a.Derive())
 		w := cl.Executors[0]
-		a.Set(p, w, seq(64))
+		rdd.Check(a.TrySet(p, w, seq(64)))
 		ones := make([]float64, 64)
 		linalg.Fill(ones, 1)
-		b.Set(p, w, ones)
+		rdd.Check(b.TrySet(p, w, ones))
 		got, err := a.TryDot(p, w, b)
 		if err != nil {
 			t.Error(err)
@@ -161,13 +162,13 @@ func TestDotNonColocatedCorrectButCostly(t *testing.T) {
 			a, _ := sess.Dense(p, 10000, 2)
 			var b *Vector
 			if coloc {
-				b = a.MustDerive()
+				b = rdd.Must(a.Derive())
 			} else {
 				b, _ = sess.Dense(p, 10000, 2)
 			}
 			w := cl.Executors[0]
-			a.Set(p, w, seq(10000))
-			b.Set(p, w, seq(10000))
+			rdd.Check(a.TrySet(p, w, seq(10000)))
+			rdd.Check(b.TrySet(p, w, seq(10000)))
 			before := serverBytes(cl)
 			got, _ = a.TryDot(p, w, b)
 			_ = before
@@ -200,16 +201,16 @@ func TestAxpy(t *testing.T) {
 	sim, cl, sess := testSession(3)
 	run(sim, func(p *simnet.Proc) {
 		a, _ := sess.Dense(p, 30, 2)
-		b := a.MustDerive()
+		b := rdd.Must(a.Derive())
 		w := cl.Executors[0]
-		a.Set(p, w, seq(30))
+		rdd.Check(a.TrySet(p, w, seq(30)))
 		ones := make([]float64, 30)
 		linalg.Fill(ones, 2)
-		b.Set(p, w, ones)
+		rdd.Check(b.TrySet(p, w, ones))
 		if err := a.TryAxpy(p, w, 0.5, b); err != nil {
 			t.Error(err)
 		}
-		got := a.Pull(p, w)
+		got := rdd.Must(a.TryPull(p, w))
 		for i := range got {
 			if math.Abs(got[i]-(float64(i)+1)) > 1e-9 {
 				t.Errorf("axpy[%d] = %v, want %v", i, got[i], float64(i)+1)
@@ -222,7 +223,7 @@ func TestElementwiseOps(t *testing.T) {
 	sim, cl, sess := testSession(4)
 	run(sim, func(p *simnet.Proc) {
 		a, _ := sess.Dense(p, 20, 6)
-		b := a.MustDerive()
+		b := rdd.Must(a.Derive())
 		w := cl.Executors[0]
 		av := seq(20)
 		bv := make([]float64, 20)
@@ -230,8 +231,8 @@ func TestElementwiseOps(t *testing.T) {
 			bv[i] = float64(i%4) + 1
 		}
 		reset := func() {
-			a.Set(p, w, av)
-			b.Set(p, w, bv)
+			rdd.Check(a.TrySet(p, w, av))
+			rdd.Check(b.TrySet(p, w, bv))
 		}
 		check := func(name string, got []float64, f func(x, y float64) float64) {
 			for i := range got {
@@ -244,27 +245,27 @@ func TestElementwiseOps(t *testing.T) {
 		if err := a.TryAddVec(p, w, b); err != nil {
 			t.Error(err)
 		}
-		check("add", a.Pull(p, w), func(x, y float64) float64 { return x + y })
+		check("add", rdd.Must(a.TryPull(p, w)), func(x, y float64) float64 { return x + y })
 		reset()
 		if err := a.TrySubVec(p, w, b); err != nil {
 			t.Error(err)
 		}
-		check("sub", a.Pull(p, w), func(x, y float64) float64 { return x - y })
+		check("sub", rdd.Must(a.TryPull(p, w)), func(x, y float64) float64 { return x - y })
 		reset()
 		if err := a.TryMulVec(p, w, b); err != nil {
 			t.Error(err)
 		}
-		check("mul", a.Pull(p, w), func(x, y float64) float64 { return x * y })
+		check("mul", rdd.Must(a.TryPull(p, w)), func(x, y float64) float64 { return x * y })
 		reset()
 		if err := a.TryDivVec(p, w, b); err != nil {
 			t.Error(err)
 		}
-		check("div", a.Pull(p, w), func(x, y float64) float64 { return x / y })
+		check("div", rdd.Must(a.TryPull(p, w)), func(x, y float64) float64 { return x / y })
 		reset()
 		if err := a.TryCopyFrom(p, w, b); err != nil {
 			t.Error(err)
 		}
-		check("copy", a.Pull(p, w), func(_, y float64) float64 { return y })
+		check("copy", rdd.Must(a.TryPull(p, w)), func(_, y float64) float64 { return y })
 	})
 }
 
@@ -273,9 +274,9 @@ func TestScale(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		v, _ := sess.Dense(p, 10)
 		w := cl.Executors[0]
-		v.Set(p, w, seq(10))
-		v.Scale(p, w, -2)
-		got := v.Pull(p, w)
+		rdd.Check(v.TrySet(p, w, seq(10)))
+		rdd.Check(v.TryScale(p, w, -2))
+		got := rdd.Must(v.TryPull(p, w))
 		for i := range got {
 			if got[i] != -2*float64(i) {
 				t.Errorf("scale[%d] = %v", i, got[i])
@@ -304,13 +305,15 @@ func TestZipMapAdamStyleUpdate(t *testing.T) {
 	sim, cl, sess := testSession(4)
 	run(sim, func(p *simnet.Proc) {
 		w, _ := sess.Dense(p, 40, 4)
-		vel := w.MustDerive().Fill(p, cl.Driver, 0)
-		sq := w.MustDerive().Fill(p, cl.Driver, 0)
-		grad := w.MustDerive()
+		vel := rdd.Must(w.Derive())
+		rdd.Check(vel.TryFill(p, cl.Driver, 0))
+		sq := rdd.Must(w.Derive())
+		rdd.Check(sq.TryFill(p, cl.Driver, 0))
+		grad := rdd.Must(w.Derive())
 		worker := cl.Executors[0]
 		gv := make([]float64, 40)
 		linalg.Fill(gv, 0.5)
-		grad.Set(p, worker, gv)
+		rdd.Check(grad.TrySet(p, worker, gv))
 
 		driverWorkBefore := cl.Driver.WorkDone
 		err := w.TryZipMap(p, cl.Driver, 8, func(lo int, rows [][]float64) {
@@ -327,7 +330,7 @@ func TestZipMapAdamStyleUpdate(t *testing.T) {
 		if cl.Driver.WorkDone != driverWorkBefore {
 			t.Error("zip charged compute to the driver; it must be server-side")
 		}
-		got := w.Pull(p, worker)
+		got := rdd.Must(w.TryPull(p, worker))
 		wantS := 0.1 * 0.25
 		wantV := 0.001 * 0.5
 		want := -0.618 * wantV / (math.Sqrt(wantS) + 1e-8)
@@ -355,10 +358,10 @@ func TestZipReducePartials(t *testing.T) {
 	sim, cl, sess := testSession(4)
 	run(sim, func(p *simnet.Proc) {
 		a, _ := sess.Dense(p, 40, 2)
-		b := a.MustDerive()
+		b := rdd.Must(a.Derive())
 		w := cl.Executors[0]
-		a.Set(p, w, seq(40))
-		b.Set(p, w, seq(40))
+		rdd.Check(a.TrySet(p, w, seq(40)))
+		rdd.Check(b.TrySet(p, w, seq(40)))
 		parts, err := ZipReduce(p, cl.Driver, a, 2, 16, func(sp ShardSpan) float64 {
 			var max float64 = math.Inf(-1)
 			for i := range sp.Rows[0] {
@@ -398,9 +401,9 @@ func TestSparseVectorCheaperPull(t *testing.T) {
 			}
 			w := cl.Executors[0]
 			delta, _ := linalg.NewSparse([]int{5, 500, 50000}, []float64{1, 2, 3})
-			v.Add(p, w, delta)
+			rdd.Check(v.TryAdd(p, w, delta))
 			cl.Executors[1].BytesRecv = 0
-			v.Pull(p, cl.Executors[1])
+			rdd.Must(v.TryPull(p, cl.Executors[1]))
 		})
 		return cl.Executors[1].BytesRecv
 	}
@@ -417,8 +420,8 @@ func TestSparsePullValuesMatchDense(t *testing.T) {
 		v, _ := sess.Sparse(p, 1000)
 		w := cl.Executors[0]
 		delta, _ := linalg.NewSparse([]int{1, 999, 500}, []float64{-1, 7, 3})
-		v.Add(p, w, delta)
-		got := v.Pull(p, w)
+		rdd.Check(v.TryAdd(p, w, delta))
+		got := rdd.Must(v.TryPull(p, w))
 		if got[1] != -1 || got[500] != 3 || got[999] != 7 {
 			t.Errorf("sparse pull values wrong: %v %v %v", got[1], got[500], got[999])
 		}
@@ -434,8 +437,8 @@ func TestDeriveIsFree(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		w, _ := sess.Dense(p, 1000, 5)
 		before = p.Now()
-		w.MustDerive()
-		w.MustDerive()
+		rdd.Must(w.Derive())
+		rdd.Must(w.Derive())
 		after = p.Now()
 	})
 	if after != before {
@@ -465,10 +468,10 @@ func TestColumnOpsOracleProperty(t *testing.T) {
 				good = false
 				return
 			}
-			b := a.MustDerive()
+			b := rdd.Must(a.Derive())
 			w := cl.Executors[0]
-			a.Set(p, w, oa)
-			b.Set(p, w, ob)
+			rdd.Check(a.TrySet(p, w, oa))
+			rdd.Check(b.TrySet(p, w, ob))
 			for _, op := range ops {
 				switch op % 5 {
 				case 0:
@@ -500,13 +503,13 @@ func TestColumnOpsOracleProperty(t *testing.T) {
 						oa[i] += 0.5 * ob[i]
 					}
 				case 4:
-					a.Scale(p, w, 0.9)
+					rdd.Check(a.TryScale(p, w, 0.9))
 					for i := range oa {
 						oa[i] *= 0.9
 					}
 				}
 			}
-			got := a.Pull(p, w)
+			got := rdd.Must(a.TryPull(p, w))
 			for i := range got {
 				rel := math.Abs(got[i]-oa[i]) / (1 + math.Abs(oa[i]))
 				if rel > 1e-9 {
@@ -531,21 +534,21 @@ func TestElementwiseAcrossIndependentMatrices(t *testing.T) {
 		a, _ := sess.Dense(p, 40)
 		b, _ := sess.Dense(p, 40) // independent: rotated placement
 		w := cl.Executors[0]
-		a.Set(p, w, seq(40))
+		rdd.Check(a.TrySet(p, w, seq(40)))
 		ones := make([]float64, 40)
 		linalg.Fill(ones, 3)
-		b.Set(p, w, ones)
+		rdd.Check(b.TrySet(p, w, ones))
 		if err := a.TryAddVec(p, w, b); err != nil {
 			t.Error(err)
 		}
-		got := a.Pull(p, w)
+		got := rdd.Must(a.TryPull(p, w))
 		for i := range got {
 			if got[i] != float64(i)+3 {
 				t.Errorf("add[%d] = %v, want %v", i, got[i], float64(i)+3)
 			}
 		}
 		// b must be untouched.
-		bv := b.Pull(p, w)
+		bv := rdd.Must(b.TryPull(p, w))
 		for i := range bv {
 			if bv[i] != 3 {
 				t.Errorf("operand mutated at %d: %v", i, bv[i])
@@ -575,8 +578,8 @@ func TestPullIndicesUnderRotatedPlacement(t *testing.T) {
 		v, _ := sess.Dense(p, 1000)
 		w := cl.Executors[0]
 		delta, _ := linalg.NewSparse([]int{0, 199, 200, 500, 999}, []float64{1, 2, 3, 4, 5})
-		v.Add(p, w, delta)
-		got := v.PullIndices(p, w, []int{0, 199, 200, 500, 999})
+		rdd.Check(v.TryAdd(p, w, delta))
+		got := rdd.Must(v.TryPullIndices(p, w, []int{0, 199, 200, 500, 999}))
 		want := []float64{1, 2, 3, 4, 5}
 		for i := range want {
 			if got[i] != want[i] {
@@ -590,18 +593,18 @@ func TestSumNnzNorm2OnDerived(t *testing.T) {
 	sim, cl, sess := testSession(3)
 	run(sim, func(p *simnet.Proc) {
 		a, _ := sess.Dense(p, 30, 2)
-		b := a.MustDerive()
+		b := rdd.Must(a.Derive())
 		w := cl.Executors[0]
 		vals := make([]float64, 30)
 		vals[7], vals[21] = 3, -4
-		b.Set(p, w, vals)
-		if got := b.Sum(p, w); got != -1 {
+		rdd.Check(b.TrySet(p, w, vals))
+		if got := rdd.Must(b.TrySum(p, w)); got != -1 {
 			t.Errorf("derived Sum = %v", got)
 		}
-		if got := b.Nnz(p, w); got != 2 {
+		if got := rdd.Must(b.TryNnz(p, w)); got != 2 {
 			t.Errorf("derived Nnz = %v", got)
 		}
-		if got := b.Norm2(p, w); math.Abs(got-5) > 1e-9 {
+		if got := rdd.Must(b.TryNorm2(p, w)); math.Abs(got-5) > 1e-9 {
 			t.Errorf("derived Norm2 = %v", got)
 		}
 	})

@@ -210,7 +210,7 @@ func (b *Batch) CopyFrom(v, other *Vector) *Batch {
 }
 
 // ZipMap records the general server-side zip: fn runs on every shard with the
-// target's and operands' aligned live slices, exactly like Vector.ZipMap but
+// target's and operands' aligned live slices, exactly like Vector.TryZipMap but
 // sharing the batch's single request. workPerElem is the caller's estimate of
 // compute per element per vector.
 func (b *Batch) ZipMap(v *Vector, workPerElem float64, fn func(lo int, rows [][]float64), others ...*Vector) *Batch {

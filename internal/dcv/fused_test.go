@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/ps"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -23,9 +24,9 @@ func TestBatchMatchesUnfusedOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := w.MustDerive()
-		g := w.MustDerive()
-		w.Set(p, driver, seq(50))
+		a := rdd.Must(w.Derive())
+		g := rdd.Must(w.Derive())
+		rdd.Check(w.TrySet(p, driver, seq(50)))
 
 		b := NewBatch(w)
 		b.Fill(a, 2).Axpy(a, 3, w).Scale(a, 0.5)
@@ -62,8 +63,8 @@ func TestBatchMatchesUnfusedOps(t *testing.T) {
 		}
 		wantNorm = math.Sqrt(wantNorm)
 
-		gotA := a.Pull(p, driver)
-		gotG := g.Pull(p, driver)
+		gotA := rdd.Must(a.TryPull(p, driver))
+		gotG := rdd.Must(g.TryPull(p, driver))
 		for i := range wantA {
 			if !approx(gotA[i], wantA[i]) || !approx(gotG[i], wantG[i]) {
 				t.Fatalf("col %d: a=%v g=%v, want %v / %v", i, gotA[i], gotG[i], wantA[i], wantG[i])
@@ -90,7 +91,7 @@ func TestBatchOneRequestPerServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := w.MustDerive()
+		a := rdd.Must(w.Derive())
 		before := sess.Master.Net.Calls
 		b := NewBatch(w).Fill(a, 1).Axpy(a, 2, w).Scale(a, 0.25)
 		b.Sum(a)
@@ -170,14 +171,15 @@ func TestBatchExactlyOnceUnderChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ones := w.MustDerive().Fill(p, cl.Driver, 1)
-		w.Set(p, cl.Driver, make([]float64, 30))
+		ones := rdd.Must(w.Derive())
+		rdd.Check(ones.TryFill(p, cl.Driver, 1))
+		rdd.Check(w.TrySet(p, cl.Driver, make([]float64, 30)))
 		for r := 0; r < rounds; r++ {
 			if err := NewBatch(w).Axpy(w, 1, ones).Run(p, cl.Driver); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got := w.Pull(p, cl.Driver)
+		got := rdd.Must(w.TryPull(p, cl.Driver))
 		for c, v := range got {
 			if v != rounds {
 				t.Fatalf("col %d = %v after %d fused increments, want %d", c, v, rounds, rounds)
@@ -217,7 +219,7 @@ func TestTryFillSurfacesExhaustedRetries(t *testing.T) {
 					t.Error("Fill on a dead shard did not panic")
 				}
 			}()
-			w.Fill(p, cl.Driver, 1)
+			rdd.Check(w.TryFill(p, cl.Driver, 1))
 		}()
 	})
 }

@@ -98,7 +98,7 @@ type Model struct {
 
 // InputVector pulls vertex u's embedding to the caller.
 func (m *Model) InputVector(p *simnet.Proc, from *simnet.Node, u int) []float64 {
-	return m.Mat.PullRows(p, from, []int{u})[0]
+	return rdd.Must(m.Mat.TryPullRows(p, from, []int{u}))[0]
 }
 
 // Train embeds the graph behind the given skip-gram pair dataset.
@@ -187,7 +187,7 @@ func Train(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices i
 					// degrades to the cache's staleness bound for them — the
 					// same visibility other workers' committed updates get.
 					if buf != nil && buf.ShouldFlush() {
-						buf.Flush(tc.P, tc.Node)
+						rdd.Check(buf.TryFlush(tc.P, tc.Node))
 					}
 				}
 				lossSum += loss
@@ -195,7 +195,7 @@ func Train(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices i
 			}
 			worker.flush(tc)
 			if buf != nil {
-				buf.Flush(tc.P, tc.Node)
+				rdd.Check(buf.TryFlush(tc.P, tc.Node))
 			}
 			return [2]float64{lossSum, float64(count)}
 		})
@@ -376,10 +376,10 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 		dw.fused[0] = *dw.pending
 		dw.fused[1] = ps.InvokeOp{ReqBytes: dotReq, RespBytes: dotResp, Work: dotWork, Fn: dotFn}
 		dw.pending = nil
-		mat.InvokeFused(tc.P, tc.Node, dw.fused)
+		rdd.Must(mat.TryInvokeFused(tc.P, tc.Node, dw.fused))
 	} else {
 		// No held-back update: a pure read, outside dedup tracking.
-		mat.InvokeRead(tc.P, tc.Node, dotReq, dotResp, dotWork, dotFn)
+		rdd.Must(mat.TryInvokeRead(tc.P, tc.Node, dotReq, dotResp, dotWork, dotFn))
 	}
 	dots := dw.dots
 	linalg.Fill(dots, 0)
@@ -441,7 +441,7 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 		},
 	}
 	if cfg.NoFusion {
-		mat.Invoke(tc.P, tc.Node, update.ReqBytes, 0, update.Work, update.Fn)
+		rdd.Must(mat.TryInvoke(tc.P, tc.Node, update.ReqBytes, 0, update.Work, update.Fn))
 	} else {
 		dw.pending = update
 	}
@@ -455,13 +455,13 @@ func (dw *dcvWorker) flush(tc *rdd.TaskContext) {
 	}
 	up := *dw.pending
 	dw.pending = nil
-	dw.mat.Invoke(tc.P, tc.Node, up.ReqBytes, 0, up.Work, up.Fn)
+	rdd.Must(dw.mat.TryInvoke(tc.P, tc.Node, up.ReqBytes, 0, up.Work, up.Fn))
 }
 
 // pullPushScratch is the per-partition steady-state scratch of the pull/push
 // arm: row-id assembly, pull destination buffers, and delta accumulators are
 // allocated once and reused across pairs. Safe because every consumer
-// (TryPullRowsInto, AddRowsDelta's host-side accumulate, PushRowsDelta's
+// (TryPullRowsInto, AddRowsDelta's host-side accumulate, TryPushRowsDelta's
 // synchronous call) finishes with the buffers before the next pair starts.
 type pullPushScratch struct {
 	rows   []int
@@ -491,12 +491,10 @@ func pullPushStep(tc *rdd.TaskContext, mat *ps.Matrix, cache *ps.CachedClient, b
 	copy(rows[1:], contexts)
 	var vecs [][]float64
 	if cache != nil {
-		vecs = cache.PullRows(tc.P, tc.Node, rows)
+		vecs = rdd.Must(cache.TryPullRows(tc.P, tc.Node, rows))
 		buf.ApplyPending(rows, vecs)
 	} else {
-		if err := mat.TryPullRowsInto(tc.P, tc.Node, rows, sc.vecs); err != nil {
-			panic(err)
-		}
+		rdd.Check(mat.TryPullRowsInto(tc.P, tc.Node, rows, sc.vecs))
 		vecs = sc.vecs
 	}
 	u := vecs[0]
@@ -520,7 +518,7 @@ func pullPushStep(tc *rdd.TaskContext, mat *ps.Matrix, cache *ps.CachedClient, b
 	if buf != nil {
 		buf.AddRowsDelta(rows, deltas)
 	} else {
-		mat.PushRowsDelta(tc.P, tc.Node, rows, deltas)
+		rdd.Check(mat.TryPushRowsDelta(tc.P, tc.Node, rows, deltas))
 	}
 	return loss
 }
@@ -545,7 +543,7 @@ func EdgeScore(p *simnet.Proc, from *simnet.Node, m *Model, pairs []data.Pair, s
 	rng := linalg.NewRNG(seed)
 	var pos, neg float64
 	for _, pr := range pairs {
-		vecs := m.Mat.PullRows(p, from, []int{int(pr.U), m.V + int(pr.V), m.V + rng.Intn(m.V)})
+		vecs := rdd.Must(m.Mat.TryPullRows(p, from, []int{int(pr.U), m.V + int(pr.V), m.V + rng.Intn(m.V)}))
 		pos += linalg.Sigmoid(linalg.Dot(vecs[0], vecs[1]))
 		neg += linalg.Sigmoid(linalg.Dot(vecs[0], vecs[2]))
 	}

@@ -61,12 +61,28 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 		return nil, err
 	}
 	driver := e.Driver()
-	gradW := w.MustDerive().Fill(p, driver, 0)
+	// derive hands out the next co-located row, zeroed when it holds a
+	// gradient.
+	derive := func(zero bool) (*dcv.Vector, error) {
+		v, err := w.Derive()
+		if err != nil || !zero {
+			return v, err
+		}
+		return v, v.TryFill(p, driver, 0)
+	}
+	gradW, err := derive(true)
+	if err != nil {
+		return nil, err
+	}
 	factors := make([]*dcv.Vector, k)
 	gradV := make([]*dcv.Vector, k)
 	for f := 0; f < k; f++ {
-		factors[f] = w.MustDerive()
-		gradV[f] = w.MustDerive().Fill(p, driver, 0)
+		if factors[f], err = derive(false); err != nil {
+			return nil, err
+		}
+		if gradV[f], err = derive(true); err != nil {
+			return nil, err
+		}
 	}
 	initFactors(p, e, factors, cfg)
 
@@ -90,10 +106,10 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 			}
 			// Sparse pulls: weights plus every factor row at the batch's
 			// feature indices.
-			wv := w.PullIndices(tc.P, tc.Node, idx)
+			wv := rdd.Must(w.TryPullIndices(tc.P, tc.Node, idx))
 			vv := make([][]float64, k)
 			for f := 0; f < k; f++ {
-				vv[f] = factors[f].PullIndices(tc.P, tc.Node, idx)
+				vv[f] = rdd.Must(factors[f].TryPullIndices(tc.P, tc.Node, idx))
 			}
 			dw := make([]float64, len(idx))
 			dv := make([][]float64, k)
@@ -151,7 +167,7 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 				if err != nil {
 					panic(err)
 				}
-				target.Add(tc.P, tc.Node, sv)
+				rdd.Check(target.TryAdd(tc.P, tc.Node, sv))
 			}
 			push(gradW, dw)
 			for f := 0; f < k; f++ {
@@ -173,12 +189,16 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 		if err := w.TryAxpy(p, driver, -eta, gradW); err != nil {
 			return nil, err
 		}
-		gradW.Zero(p, driver)
+		if err := gradW.TryZero(p, driver); err != nil {
+			return nil, err
+		}
 		for f := 0; f < k; f++ {
 			if err := factors[f].TryAxpy(p, driver, -eta, gradV[f]); err != nil {
 				return nil, err
 			}
-			gradV[f].Zero(p, driver)
+			if err := gradV[f].TryZero(p, driver); err != nil {
+				return nil, err
+			}
 		}
 		model.Trace.Add(p.Now(), lossSum/float64(count))
 	}

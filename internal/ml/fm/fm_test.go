@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/linalg"
 	"repro/internal/ml/lr"
+	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -60,10 +62,10 @@ func TestFMLearnsInteractions(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		w := model.Weights.Pull(p, e.Driver())
+		w := rdd.Must(model.Weights.TryPull(p, e.Driver()))
 		factors := make([][]float64, len(model.Factors))
 		for f, v := range model.Factors {
-			factors[f] = v.Pull(p, e.Driver())
+			factors[f] = rdd.Must(v.TryPull(p, e.Driver()))
 		}
 		acc = Accuracy(instances, w, factors)
 	})
@@ -88,7 +90,7 @@ func TestLRCannotLearnParity(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		acc = lr.Accuracy(instances, model.Weights.Pull(p, e.Driver()))
+		acc = lr.Accuracy(instances, rdd.Must(model.Weights.TryPull(p, e.Driver())))
 	})
 	if acc > 0.65 {
 		t.Fatalf("LR accuracy %v on parity interactions; expected near-chance", acc)
@@ -114,10 +116,10 @@ func TestFMOnSparseClassification(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		w := model.Weights.Pull(p, e.Driver())
+		w := rdd.Must(model.Weights.TryPull(p, e.Driver()))
 		factors := make([][]float64, len(model.Factors))
 		for f, v := range model.Factors {
-			factors[f] = v.Pull(p, e.Driver())
+			factors[f] = rdd.Must(v.TryPull(p, e.Driver()))
 		}
 		final = EvalLoss(ds.Instances, w, factors)
 	})
@@ -168,5 +170,22 @@ func TestPredictMatchesManual(t *testing.T) {
 	want := 0.0 + 2.0 - 0.5
 	if got := Predict(inst, w, factors); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Predict = %v, want %v", got, want)
+	}
+}
+
+// TestTrainSurfacesServerDown: with recovery off and a server that stays
+// down, the driver's first write (zeroing the weight gradient) cannot land.
+// Train must return an error wrapping ps.ErrServerDown, not panic the run.
+func TestTrainSurfacesServerDown(t *testing.T) {
+	e := newEngine()
+	e.PS.Retry = ps.RetryConfig{TimeoutSec: 0.01, BackoffSec: 0.005, MaxBackoffSec: 0.05, MaxRetries: 3}
+	e.PS.KillServer(0)
+	var err error
+	e.Run(func(p *simnet.Proc) {
+		dataset := rdd.FromSlices(e.RDD, data.Partition(parityDataset(100, 40, 5), 4)).Cache()
+		_, err = Train(p, e, dataset, 40, DefaultConfig())
+	})
+	if !errors.Is(err, ps.ErrServerDown) {
+		t.Fatalf("server 0 down, no recovery: err = %v, want ErrServerDown", err)
 	}
 }

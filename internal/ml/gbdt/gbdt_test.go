@@ -2,6 +2,7 @@ package gbdt
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/linalg"
+	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -476,5 +478,26 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadModel(bytes.NewReader([]byte(`{"version":9}`))); err == nil {
 		t.Fatal("bad version accepted")
+	}
+}
+
+// TestTrainSurfacesServerDown: with recovery off and a server that stays
+// down, the driver's first write (filling the gradient histogram) cannot
+// land. Train must return an error wrapping ps.ErrServerDown, not panic the
+// run.
+func TestTrainSurfacesServerDown(t *testing.T) {
+	ds := smallTabular(t, 200)
+	e := newEngine(4, 4)
+	e.PS.Retry = ps.RetryConfig{TimeoutSec: 0.01, BackoffSec: 0.005, MaxBackoffSec: 0.05, MaxRetries: 3}
+	e.PS.KillServer(0)
+	cfg := DefaultConfig()
+	cfg.Trees = 1
+	var err error
+	e.Run(func(p *simnet.Proc) {
+		r, edges := PrepareRDD(p, e, ds, cfg)
+		_, err = Train(p, e, r, ds.Config.Features, edges, cfg)
+	})
+	if !errors.Is(err, ps.ErrServerDown) {
+		t.Fatalf("server 0 down, no recovery: err = %v, want ErrServerDown", err)
 	}
 }

@@ -54,12 +54,17 @@ func (st *trainerState) ensureHists(p *simnet.Proc, features int) error {
 		if err != nil {
 			return err
 		}
-		st.gradHist = gh.Fill(p, st.e.Driver(), 0)
+		if err := gh.TryFill(p, st.e.Driver(), 0); err != nil {
+			return err
+		}
 		hh, err := gh.Derive()
 		if err != nil {
 			return err
 		}
-		st.hessHist = hh.Fill(p, st.e.Driver(), 0)
+		if err := hh.TryFill(p, st.e.Driver(), 0); err != nil {
+			return err
+		}
+		st.gradHist, st.hessHist = gh, hh
 	}
 	if st.cfg.Backend != BackendPS2 && st.localG == nil {
 		st.localG = make([][]float64, st.dataset.Partitions())
@@ -132,11 +137,15 @@ type nodeTotals struct {
 // buildHistograms constructs the grad/hess histograms for the rows of one
 // tree node and aggregates them with the configured backend. Returns the
 // node totals.
-func (st *trainerState) buildHistograms(p *simnet.Proc, node int32, features int) nodeTotals {
+func (st *trainerState) buildHistograms(p *simnet.Proc, node int32, features int) (nodeTotals, error) {
 	cost := st.e.Cluster.Cost
 	if st.cfg.Backend == BackendPS2 {
-		st.gradHist.Zero(p, st.e.Driver())
-		st.hessHist.Zero(p, st.e.Driver())
+		if err := st.gradHist.TryZero(p, st.e.Driver()); err != nil {
+			return nodeTotals{}, err
+		}
+		if err := st.hessHist.TryZero(p, st.e.Driver()); err != nil {
+			return nodeTotals{}, err
+		}
 	}
 	totals := rdd.RunPartitions(p, st.dataset, 24, func(tc *rdd.TaskContext, part int, rows []Row) nodeTotals {
 		g := make([]float64, st.histDim)
@@ -162,8 +171,8 @@ func (st *trainerState) buildHistograms(p *simnet.Proc, node int32, features int
 		switch st.cfg.Backend {
 		case BackendPS2:
 			// Paper Figure 8: gradHist.add(localGrad); hessHist.add(localHess).
-			st.gradHist.AddDense(tc.P, tc.Node, g)
-			st.hessHist.AddDense(tc.P, tc.Node, h)
+			rdd.Check(st.gradHist.TryAddDense(tc.P, tc.Node, g))
+			rdd.Check(st.hessHist.TryAddDense(tc.P, tc.Node, h))
 		case BackendAllReduce:
 			st.localG[part] = g
 			st.localH[part] = h
@@ -187,7 +196,7 @@ func (st *trainerState) buildHistograms(p *simnet.Proc, node int32, features int
 	case BackendDriver:
 		st.driverReduce(p)
 	}
-	return tot
+	return tot, nil
 }
 
 // ringAllReduce simulates XGBoost's histogram AllReduce: every worker
@@ -251,7 +260,7 @@ func maskAllows(mask []bool, f int) bool { return mask == nil || (f < len(mask) 
 // the features fully contained in its range and returns its best split plus
 // raw partial bins for (at most two) boundary-straddling features, which the
 // driver merges exactly.
-func (st *trainerState) findSplitPS2(p *simnet.Proc, tot nodeTotals, mask []bool) Split {
+func (st *trainerState) findSplitPS2(p *simnet.Proc, tot nodeTotals, mask []bool) (Split, error) {
 	cfg := st.cfg
 	lambda := cfg.Lambda
 	results, err := dcv.ZipReduce(p, st.e.Driver(), st.gradHist, st.e.Cluster.Cost.FlopsPerElem, 64,
@@ -297,7 +306,7 @@ func (st *trainerState) findSplitPS2(p *simnet.Proc, tot nodeTotals, mask []bool
 			return res
 		}, st.hessHist)
 	if err != nil {
-		panic(err)
+		return Split{}, err
 	}
 	best := Split{Feature: -1, Gain: math.Inf(-1)}
 	merged := map[int]*boundaryPiece{}
@@ -330,7 +339,7 @@ func (st *trainerState) findSplitPS2(p *simnet.Proc, tot nodeTotals, mask []bool
 			}
 		}
 	}
-	return best
+	return best, nil
 }
 
 // driverReduce sums the per-worker histograms at the driver, charging the
@@ -425,7 +434,10 @@ func (st *trainerState) growTree(p *simnet.Proc, features, treeIdx int) (*Tree, 
 	for len(queue) > 0 {
 		w := queue[0]
 		queue = queue[1:]
-		tot := st.buildHistograms(p, w.node, features)
+		tot, err := st.buildHistograms(p, w.node, features)
+		if err != nil {
+			return nil, err
+		}
 		leafValue := 0.0
 		if tot.H+st.cfg.Lambda > 0 {
 			leafValue = -st.cfg.LearningRate * tot.G / (tot.H + st.cfg.Lambda)
@@ -437,7 +449,9 @@ func (st *trainerState) growTree(p *simnet.Proc, features, treeIdx int) (*Tree, 
 		var split Split
 		switch st.cfg.Backend {
 		case BackendPS2:
-			split = st.findSplitPS2(p, tot, mask)
+			if split, err = st.findSplitPS2(p, tot, mask); err != nil {
+				return nil, err
+			}
 		case BackendAllReduce:
 			split = st.findSplitAllReduce(p, tot, features, mask)
 		default:

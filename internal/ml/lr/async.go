@@ -5,10 +5,12 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/linalg"
 	"repro/internal/ps"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -73,11 +75,17 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 	if len(parts) == 0 || len(parts) > len(e.Cluster.Executors) {
 		return nil, fmt.Errorf("lr: need 1..%d partitions, got %d", len(e.Cluster.Executors), len(parts))
 	}
+	if cfg.Staleness < 0 {
+		return nil, fmt.Errorf("lr: negative staleness %d", cfg.Staleness)
+	}
 	mat, err := e.PS.CreateMatrix(p, 1, dim)
 	if err != nil {
 		return nil, err
 	}
 	clock := ps.NewSSPClock(p.Sim(), len(parts))
+	// SSP admission: worker w may start iteration it once the slowest clock
+	// is at least it - Staleness.
+	gate := consistency.NewClockBounded(cfg.Staleness)
 	cost := e.Cluster.Cost
 
 	// Optional worker-side cache: each SSP worker's cache clock ticks with
@@ -107,16 +115,16 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 				buf = cache.NewPushBuffer()
 			}
 			for it := 0; it < cfg.Iterations; it++ {
-				clock.WaitTurn(wp, w, it, cfg.Staleness)
+				clock.WaitPolicy(wp, gate, it)
 				// Sample this worker's mini-batch.
 				batch := sampleRows(rows, cfg.BatchFraction, rng)
 				if len(batch) > 0 {
 					idx := DistinctIndices(batch)
 					var vals []float64
 					if cache != nil {
-						vals = cache.PullRowIndices(wp, node, 0, idx)
+						vals = rdd.Must(cache.TryPullRowIndices(wp, node, 0, idx))
 					} else {
-						vals = mat.PullRowIndices(wp, node, 0, idx)
+						vals = rdd.Must(mat.TryPullRowIndices(wp, node, 0, idx))
 					}
 					local := make(map[int]float64, len(idx))
 					for k, i := range idx {
@@ -143,9 +151,9 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 						if err := buf.Add(0, sv); err != nil {
 							panic(err)
 						}
-						buf.Flush(wp, node)
+						rdd.Check(buf.TryFlush(wp, node))
 					} else {
-						mat.PushAdd(wp, node, 0, sv)
+						rdd.Check(mat.TryPushAdd(wp, node, 0, sv))
 					}
 					lossByClock[it] += lossSum
 					countByClock[it] += len(batch)
@@ -189,5 +197,5 @@ func sampleRows(rows []data.Instance, fraction float64, rng *linalg.RNG) []data.
 
 // FinalWeights pulls the trained async model to the caller.
 func (m *AsyncModel) FinalWeights(p *simnet.Proc, from *simnet.Node) []float64 {
-	return m.Weights.PullRow(p, from, 0)
+	return rdd.Must(m.Weights.TryPullRow(p, from, 0))
 }

@@ -41,18 +41,22 @@ func TrainLBFGS(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance],
 		return nil, err
 	}
 	driver := e.Driver()
-	grad := w.MustDerive()
-	prevW := w.MustDerive()
-	prevG := w.MustDerive()
-	q := w.MustDerive()
+	// Derivation order fixes the rows: grad, prevW, prevG, q, then the
+	// history pairs (s_0, y_0), (s_1, y_1), ...
+	vecs := make([]*dcv.Vector, 4+2*m)
+	for i := range vecs {
+		if vecs[i], err = w.Derive(); err != nil {
+			return nil, err
+		}
+	}
+	grad, prevW, prevG, q := vecs[0], vecs[1], vecs[2], vecs[3]
 	sHist := make([]*dcv.Vector, m)
 	yHist := make([]*dcv.Vector, m)
 	// All 4+2m working vectors are co-located with w, so one fused request per
 	// server zeroes the lot instead of a fan-out per vector.
 	init := dcv.NewBatch(w).Zero(grad).Zero(prevW).Zero(prevG).Zero(q)
 	for i := 0; i < m; i++ {
-		sHist[i] = w.MustDerive()
-		yHist[i] = w.MustDerive()
+		sHist[i], yHist[i] = vecs[4+2*i], vecs[5+2*i]
 		init.Zero(sHist[i]).Zero(yHist[i])
 	}
 	if err := init.Run(p, driver); err != nil {
@@ -67,14 +71,16 @@ func TrainLBFGS(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance],
 	cost := e.Cluster.Cost
 	total := 0
 
-	fullGradient := func() float64 {
-		grad.Zero(p, driver)
+	fullGradient := func() (float64, error) {
+		if err := grad.TryZero(p, driver); err != nil {
+			return 0, err
+		}
 		stats := rdd.RunPartitions(p, dataset, 24, func(tc *rdd.TaskContext, part int, rows []data.Instance) batchStat {
 			if len(rows) == 0 {
 				return batchStat{}
 			}
 			idx := DistinctIndices(rows)
-			vals := w.PullIndices(tc.P, tc.Node, idx)
+			vals := rdd.Must(w.TryPullIndices(tc.P, tc.Node, idx))
 			local := make(map[int]float64, len(idx))
 			for k, i := range idx {
 				local[i] = vals[k]
@@ -92,7 +98,7 @@ func TrainLBFGS(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance],
 				gv[k] = g[i]
 			}
 			sv, _ := linalg.NewSparse(gi, gv)
-			grad.Add(tc.P, tc.Node, sv)
+			rdd.Check(grad.TryAdd(tc.P, tc.Node, sv))
 			return batchStat{Loss: lossSum, Count: len(rows)}
 		})
 		var lossSum float64
@@ -101,30 +107,17 @@ func TrainLBFGS(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance],
 			lossSum += st.Loss
 			total += st.Count
 		}
-		if total > 0 {
-			if err := grad.TryScale(p, driver, 1/float64(total)); err != nil {
-				panic(err)
-			}
-			return lossSum / float64(total)
+		if total == 0 {
+			return 0, nil
 		}
-		return 0
-	}
-
-	dot := func(a, b *dcv.Vector) float64 {
-		v, err := a.TryDot(p, driver, b)
-		if err != nil {
-			panic(err)
-		}
-		return v
-	}
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
+		return lossSum / float64(total), grad.TryScale(p, driver, 1/float64(total))
 	}
 
 	for it := 0; it < cfg.Iterations; it++ {
-		loss := fullGradient()
+		loss, err := fullGradient()
+		if err != nil {
+			return nil, err
+		}
 		trace.Add(p.Now(), loss)
 		// The whole bookkeeping block — curvature pair s = w − prevW,
 		// y = grad − prevG, the <s, y> reduction, and the prevW/prevG/q
@@ -146,7 +139,9 @@ func TrainLBFGS(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance],
 		b.CopyFrom(prevW, w).CopyFrom(prevG, grad)
 		// Two-loop recursion over co-located DCVs; q starts at the gradient.
 		b.CopyFrom(q, grad)
-		must(b.Run(p, driver))
+		if err := b.Run(p, driver); err != nil {
+			return nil, err
+		}
 		if it > 0 {
 			if sy.Value() <= 1e-12 {
 				// Skip non-curvature pairs (can happen with fixed steps).
@@ -158,23 +153,42 @@ func TrainLBFGS(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance],
 		}
 		for k := 0; k < pairs; k++ {
 			i := (next - 1 - k + 2*m) % m
-			alpha[i] = rho[i] * dot(sHist[i], q)
-			must(q.TryAxpy(p, driver, -alpha[i], yHist[i]))
+			sq, err := sHist[i].TryDot(p, driver, q)
+			if err != nil {
+				return nil, err
+			}
+			alpha[i] = rho[i] * sq
+			if err := q.TryAxpy(p, driver, -alpha[i], yHist[i]); err != nil {
+				return nil, err
+			}
 		}
 		if pairs > 0 {
 			newest := (next - 1 + m) % m
-			yy := dot(yHist[newest], yHist[newest])
+			yy, err := yHist[newest].TryDot(p, driver, yHist[newest])
+			if err != nil {
+				return nil, err
+			}
 			if yy > 1e-12 {
-				must(q.TryScale(p, driver, 1/(rho[newest]*yy)))
+				if err := q.TryScale(p, driver, 1/(rho[newest]*yy)); err != nil {
+					return nil, err
+				}
 			}
 		}
 		for k := pairs - 1; k >= 0; k-- {
 			i := (next - 1 - k + 2*m) % m
-			beta := rho[i] * dot(yHist[i], q)
-			must(q.TryAxpy(p, driver, alpha[i]-beta, sHist[i]))
+			yq, err := yHist[i].TryDot(p, driver, q)
+			if err != nil {
+				return nil, err
+			}
+			beta := rho[i] * yq
+			if err := q.TryAxpy(p, driver, alpha[i]-beta, sHist[i]); err != nil {
+				return nil, err
+			}
 		}
 		// Descend along -q with a fixed step.
-		must(w.TryAxpy(p, driver, -cfg.StepSize, q))
+		if err := w.TryAxpy(p, driver, -cfg.StepSize, q); err != nil {
+			return nil, err
+		}
 	}
 	return &Model{Weights: w, Trace: trace}, nil
 }

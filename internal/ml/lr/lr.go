@@ -220,7 +220,9 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 		return nil, err
 	}
 	if cfg.WarmStart != nil {
-		weight.Set(p, e.Driver(), cfg.WarmStart)
+		if err := weight.TrySet(p, e.Driver(), cfg.WarmStart); err != nil {
+			return nil, err
+		}
 	}
 	if err := opt.Init(p, e, weight); err != nil {
 		return nil, err
@@ -272,11 +274,11 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 			var vals []float64
 			switch {
 			case cache != nil:
-				vals = cache.PullRowIndices(tc.P, tc.Node, weight.Row(), idx)
+				vals = rdd.Must(cache.TryPullRowIndices(tc.P, tc.Node, weight.Row(), idx))
 			case replicas != nil:
-				vals = replicas.PullRowIndices(tc.P, tc.Node, weight.Row(), idx)
+				vals = rdd.Must(replicas.TryPullRowIndices(tc.P, tc.Node, weight.Row(), idx))
 			default:
-				vals = weight.PullIndices(tc.P, tc.Node, idx)
+				vals = rdd.Must(weight.TryPullIndices(tc.P, tc.Node, idx))
 			}
 			local := make(map[int]float64, len(idx))
 			for k, i := range idx {
@@ -331,10 +333,10 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 				// now instead of letting it sit until the stage barrier.
 				// Off unless CacheConfig.AutoFlushTarget is set.
 				if buf.ShouldFlush() {
-					buf.Flush(tc.P, tc.Node)
+					rdd.Check(buf.TryFlush(tc.P, tc.Node))
 				}
 			} else {
-				grad.Add(tc.P, tc.Node, sv)
+				rdd.Check(grad.TryAdd(tc.P, tc.Node, sv))
 			}
 			return batchStat{Loss: lossSum, Count: len(rows)}
 		})
@@ -344,15 +346,19 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 		// executor — before the optimizer reads the batch gradient.
 		if gradBufs != nil {
 			g := p.Sim().NewGroup()
-			for _, node := range e.Cluster.Executors {
-				node := node
+			errs := make([]error, len(e.Cluster.Executors))
+			for i, node := range e.Cluster.Executors {
+				i, node := i, node
 				if buf := gradBufs[node]; buf != nil && buf.Pending() > 0 {
 					g.Go("grad-flush", func(fp *simnet.Proc) {
-						buf.Flush(fp, node)
+						errs[i] = buf.TryFlush(fp, node)
 					})
 				}
 			}
 			g.Wait(p)
+			if err := errors.Join(errs...); err != nil {
+				return nil, err
+			}
 		}
 		var lossSum float64
 		var count int
@@ -512,7 +518,7 @@ func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 			return partial{}
 		}
 		idx := DistinctIndices(rows)
-		vals := weights.PullIndices(tc.P, tc.Node, idx)
+		vals := rdd.Must(weights.TryPullIndices(tc.P, tc.Node, idx))
 		local := make(map[int]float64, len(idx))
 		for k, i := range idx {
 			local[i] = vals[k]

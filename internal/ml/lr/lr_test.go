@@ -48,7 +48,7 @@ func trainWith(t *testing.T, opt Optimizer, cfg Config) (*core.Trace, []float64,
 			return
 		}
 		trace = model.Trace
-		weights = model.Weights.Pull(p, e.Driver())
+		weights = rdd.Must(model.Weights.TryPull(p, e.Driver()))
 	})
 	return trace, weights, ds
 }
@@ -134,7 +134,7 @@ func TestAdamMatchesSingleNodeReference(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got = model.Weights.Pull(p, e.Driver())
+		got = rdd.Must(model.Weights.TryPull(p, e.Driver()))
 	})
 
 	// Single-node reference.
@@ -185,7 +185,7 @@ func TestTrainUnderTaskFailuresSameSolution(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			w = model.Weights.Pull(p, e.Driver())
+			w = rdd.Must(model.Weights.TryPull(p, e.Driver()))
 		})
 		return w, end
 	}
@@ -217,7 +217,7 @@ func TestTrainLBFGSConverges(t *testing.T) {
 			return
 		}
 		trace = model.Trace
-		w = model.Weights.Pull(p, e.Driver())
+		w = rdd.Must(model.Weights.TryPull(p, e.Driver()))
 	})
 	if trace.Values[0] < trace.Final() {
 		t.Fatalf("L-BFGS loss rose: %v -> %v", trace.Values[0], trace.Final())
@@ -313,7 +313,7 @@ func TestFTRLMatchesSingleNodeReference(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got = model.Weights.Pull(p, e.Driver())
+		got = rdd.Must(model.Weights.TryPull(p, e.Driver()))
 	})
 
 	dim := ds.Config.Dim
@@ -374,7 +374,7 @@ func TestServerCrashMidTrainingRecoversFromCheckpoint(t *testing.T) {
 		e.PS.RecoverServer(p, 1)
 		// The weights on the recovered server reflect the last checkpoint:
 		// pulling must succeed and give a usable model.
-		w := m1.Weights.Pull(p, e.Driver())
+		w := rdd.Must(m1.Weights.TryPull(p, e.Driver()))
 		final = EvalLoss(Logistic, ds.Instances, w)
 	})
 	if final >= math.Ln2 {
@@ -457,7 +457,7 @@ func TestEvalOnClusterMatchesHostEval(t *testing.T) {
 			return
 		}
 		metrics := EvalOnCluster(p, e, dataset, Logistic, model.Weights)
-		w := model.Weights.Pull(p, e.Driver())
+		w := rdd.Must(model.Weights.TryPull(p, e.Driver()))
 		hostLoss := EvalLoss(Logistic, ds.Instances, w)
 		hostAcc := Accuracy(ds.Instances, w)
 		if metrics.Rows != len(ds.Instances) {
@@ -515,7 +515,7 @@ func TestWarmStartResumesTraining(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		w1 = m.Weights.Pull(p, e1.Driver())
+		w1 = rdd.Must(m.Weights.TryPull(p, e1.Driver()))
 	})
 	phase1 := EvalLoss(Logistic, ds.Instances, w1)
 
@@ -533,7 +533,7 @@ func TestWarmStartResumesTraining(t *testing.T) {
 			return
 		}
 		firstBatchLoss = m.Trace.Values[0]
-		w2 = m.Weights.Pull(p, e2.Driver())
+		w2 = rdd.Must(m.Weights.TryPull(p, e2.Driver()))
 	})
 	if firstBatchLoss >= 0.9*math.Ln2 {
 		t.Fatalf("warm start ignored: first batch loss %v near ln2", firstBatchLoss)

@@ -391,106 +391,3 @@ func (s Snapshot) String() string {
 	fmt.Fprintf(&b, "phases: %s", s.Phases.Summary(s.WallSec))
 	return b.String()
 }
-
-// Fill writes the snapshot's scalar fields into a registry under run-wide
-// keys (Node == ""), the flat form the metrics dump and sidecar files use.
-func (s Snapshot) Fill(r *Registry) {
-	if r == nil {
-		return
-	}
-	r.Set("", "run", "wall.sec", s.WallSec)
-	r.Set("", "run", "events", float64(s.Events))
-
-	r.Set("", "net", "rpc.calls", float64(s.Net.RPCCalls))
-	r.Set("", "net", "rpc.attempts", float64(s.Net.RPCAttempts))
-	r.Set("", "net", "dedup.hits", float64(s.Net.DedupHits))
-	r.Set("", "net", "dedup.pruned", float64(s.Net.DedupPruned))
-	r.Set("", "net", "transport.sends", float64(s.Net.TransportSends))
-	r.Set("", "net", "transport.errors", float64(s.Net.TransportErrors))
-	r.Set("", "net", "transport.mb", s.Net.TransportMB)
-	r.Set("", "net", "messages.lost", float64(s.Net.MessagesLost))
-	r.Set("", "net", "driver.sent.mb", s.Net.DriverSentMB)
-	r.Set("", "net", "driver.recv.mb", s.Net.DriverRecvMB)
-	r.Set("", "net", "executor.sent.mb", s.Net.ExecutorSentMB)
-	r.Set("", "net", "executor.recv.mb", s.Net.ExecutorRecvMB)
-	r.Set("", "net", "server.sent.mb", s.Net.ServerSentMB)
-	r.Set("", "net", "server.recv.mb", s.Net.ServerRecvMB)
-
-	r.Set("", "fusion", "batches", float64(s.Fusion.Batches))
-	r.Set("", "fusion", "fused.ops", float64(s.Fusion.FusedOps))
-
-	r.Set("", "cache", "hits", float64(s.Cache.Hits))
-	r.Set("", "cache", "misses", float64(s.Cache.Misses))
-	r.Set("", "cache", "validations", float64(s.Cache.Validations))
-	r.Set("", "cache", "validation.hits", float64(s.Cache.ValidationHits))
-	r.Set("", "cache", "evictions", float64(s.Cache.Evictions))
-	r.Set("", "cache", "epoch.fences", float64(s.Cache.EpochFences))
-	r.Set("", "cache", "pulled.mb", s.Cache.PulledMB)
-	r.Set("", "cache", "baseline.mb", s.Cache.BaselineMB)
-	r.Set("", "cache", "combined.pushes", float64(s.Cache.CombinedPushes))
-	r.Set("", "cache", "flushes", float64(s.Cache.Flushes))
-	r.Set("", "cache", "flushed.mb", s.Cache.FlushedMB)
-	r.Set("", "cache", "flush.baseline.mb", s.Cache.FlushBaseMB)
-
-	if s.Consistency.Active() {
-		r.Set("", "consistency", "served.cached", float64(s.Consistency.ServedCached))
-		r.Set("", "consistency", "revalidated", float64(s.Consistency.Revalidated))
-		r.Set("", "consistency", "hard.pulled", float64(s.Consistency.HardPulled))
-		r.Set("", "consistency", "tightenings", float64(s.Consistency.Tightenings))
-		r.Set("", "consistency", "relaxations", float64(s.Consistency.Relaxations))
-		r.Set("", "consistency", "effective.bound", s.Consistency.EffectiveBound)
-	}
-	if s.Par.Active() {
-		r.Set("", "par", "calls", float64(s.Par.Calls))
-		r.Set("", "par", "inline", float64(s.Par.Inline))
-		r.Set("", "par", "parallel", float64(s.Par.Parallel))
-		r.Set("", "par", "mean.width", s.Par.MeanWidth())
-		r.Set("", "par", "max.width", float64(s.Par.MaxWidth))
-	}
-
-	r.Set("", "load", "ops.imbalance", s.Load.OpsImbalance())
-	r.Set("", "load", "bytes.imbalance", s.Load.BytesImbalance())
-	for i := range s.Load.Ops {
-		node := fmt.Sprintf("server-%d", i)
-		r.Set(node, "load", "ops", s.Load.Ops[i])
-		r.Set(node, "load", "bytes", s.Load.Bytes[i])
-	}
-
-	r.Set("", "migration", "migrations", float64(s.Migration.Migrations))
-	r.Set("", "migration", "aborts", float64(s.Migration.Aborts))
-	r.Set("", "migration", "servers.added", float64(s.Migration.ServersAdded))
-	r.Set("", "migration", "servers.removed", float64(s.Migration.ServersRemoved))
-	r.Set("", "migration", "bulk.bytes", s.Migration.BulkBytes)
-	r.Set("", "migration", "delta.bytes", s.Migration.DeltaBytes)
-	r.Set("", "migration", "gate.closed.sec", s.Migration.GateClosedSec)
-
-	r.Set("", "serve", "reads", float64(s.Serve.Reads))
-	r.Set("", "serve", "read.vals", float64(s.Serve.ReadVals))
-	r.Set("", "serve", "snapshots.pinned", float64(s.Serve.SnapshotsPinned))
-	r.Set("", "serve", "snapshot.reads", float64(s.Serve.SnapshotReads))
-	r.Set("", "serve", "snapshot.fences", float64(s.Serve.SnapshotFences))
-	r.Set("", "serve", "admitted", float64(s.Serve.Admitted))
-	r.Set("", "serve", "delayed", float64(s.Serve.Delayed))
-	r.Set("", "serve", "queue.delay.sec", s.Serve.QueueDelaySec)
-	r.Set("", "serve", "queue.max.depth", float64(s.Serve.MaxQueueDepth))
-	r.Set("", "serve", "shed.serve", float64(s.Serve.ShedServe))
-	r.Set("", "serve", "shed.train", float64(s.Serve.ShedTrain))
-
-	r.Set("", "recovery", "crashes", float64(s.Recovery.ServerCrashes))
-	r.Set("", "recovery", "detections", float64(s.Recovery.Detections))
-	r.Set("", "recovery", "recoveries", float64(s.Recovery.Recoveries))
-	r.Set("", "recovery", "detect.latency.sec", s.Recovery.DetectLatencySum)
-	r.Set("", "recovery", "recovery.sec", s.Recovery.RecoverySecSum)
-	r.Set("", "recovery", "restore.bytes", s.Recovery.RestoreBytes)
-	r.Set("", "recovery", "zero.restored.shards", float64(s.Recovery.ZeroRestoredShards))
-	r.Set("", "recovery", "checkpoint.bytes.written", s.Recovery.CheckpointBytesWritten)
-	r.Set("", "recovery", "checkpoint.bytes.full", s.Recovery.CheckpointBytesFull)
-
-	r.Set("", "phases", "executor.core.sec", s.Phases.ExecutorCoreSec)
-	r.Set("", "phases", "server.core.sec", s.Phases.ServerCoreSec)
-	if s.Phases.Traced {
-		r.Set("", "phases", "comm.sec", s.Phases.CommSec)
-		r.Set("", "phases", "wait.sec", s.Phases.WaitSec)
-		r.Set("", "phases", "recovery.sec", s.Phases.RecoverySec)
-	}
-}

@@ -378,19 +378,9 @@ func (cc *CachedClient) CreditPush(from *simnet.Node, row int, indices []int, ma
 	cc.pol.ObserveDelta(sum / float64(len(indices)))
 }
 
-// PullRowIndices is the cached sparse pull: values within the staleness
+// TryPullRowIndices is the cached sparse pull: values within the staleness
 // bound are served locally; the rest are validated if-modified-since or
 // fetched, one coalesced RPC per shard that has work to do.
-func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) []float64 {
-	out, err := cc.TryPullRowIndices(p, from, row, indices)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRowIndices is PullRowIndices returning a typed error instead of
-// panicking when a shard stays unreachable.
 func (cc *CachedClient) TryPullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
 	mat := cc.mat
 	mat.checkRow(row)
@@ -578,19 +568,9 @@ func (cc *CachedClient) pullIndicesShard(cp *simnet.Proc, from *simnet.Node, nc 
 	}
 }
 
-// PullRows is the cached batched full-row pull (the embedding access
+// TryPullRows is the cached batched full-row pull (the embedding access
 // pattern): whole per-shard row stretches are cached with one stamp each and
 // validated if-modified-since at row granularity.
-func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) [][]float64 {
-	out, err := cc.TryPullRows(p, from, rows)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRows is PullRows returning a typed error instead of panicking when
-// a shard stays unreachable.
 func (cc *CachedClient) TryPullRows(p *simnet.Proc, from *simnet.Node, rows []int) ([][]float64, error) {
 	mat := cc.mat
 	for _, r := range rows {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -54,10 +55,10 @@ func BenchmarkCachedPullWarm(b *testing.B) {
 			idx[k] = k * 16
 		}
 		node := cl.Executors[0]
-		cc.PullRowIndices(p, node, 0, idx) // warm the cache
+		rdd.Must(cc.TryPullRowIndices(p, node, 0, idx)) // warm the cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = cc.PullRowIndices(p, node, 0, idx)
+			_ = rdd.Must(cc.TryPullRowIndices(p, node, 0, idx))
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -14,7 +15,7 @@ func fillRow(p *simnet.Proc, mat *Matrix, from *simnet.Node, row int, f func(c i
 	for c := range vals {
 		vals[c] = f(c)
 	}
-	mat.SetRow(p, from, row, vals)
+	rdd.Check(mat.TrySetRow(p, from, row, vals))
 }
 
 // TestCachedPullMatchesUncached asserts the cached sparse pull returns the
@@ -33,8 +34,8 @@ func TestCachedPullMatchesUncached(t *testing.T) {
 		idx := []int{0, 10, 30, 45, 60, 89}
 
 		check := func(label string) {
-			want := mat.PullRowIndices(p, worker, 0, idx)
-			got := cc.PullRowIndices(p, worker, 0, idx)
+			want := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
+			got := rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
 			for k := range idx {
 				if got[k] != want[k] {
 					t.Fatalf("%s: idx %d = %v, want %v", label, idx[k], got[k], want[k])
@@ -66,7 +67,7 @@ func TestCachedPullMatchesUncached(t *testing.T) {
 
 		// Mutate two indices; the next validation must ship exactly those.
 		sv, _ := linalg.NewSparse([]int{10, 60}, []float64{5, 7})
-		mat.PushAdd(p, worker, 0, sv)
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		cc.Tick()
 		before = m.Cache
 		check("validate changed")
@@ -91,15 +92,15 @@ func TestCachedPullStalenessBound(t *testing.T) {
 		cc := NewCachedClient(mat, CacheConfig{Staleness: 2})
 		idx := []int{3, 12}
 
-		cc.PullRowIndices(p, worker, 0, idx) // fill at clock 0
+		rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx)) // fill at clock 0
 		sv, _ := linalg.NewSparse(idx, []float64{10, 10})
-		mat.PushAdd(p, worker, 0, sv) // now server holds 11
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv)) // now server holds 11
 
 		// Clocks 1 and 2 are within the bound: served stale, zero RPC.
 		for tick := 1; tick <= 2; tick++ {
 			cc.Tick()
 			before := m.Cache
-			got := cc.PullRowIndices(p, worker, 0, idx)
+			got := rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
 			if got[0] != 1 || got[1] != 1 {
 				t.Fatalf("clock %d: got %v, want stale value 1", tick, got)
 			}
@@ -109,7 +110,7 @@ func TestCachedPullStalenessBound(t *testing.T) {
 		}
 		// Clock 3 exceeds the bound: validated, new value fetched.
 		cc.Tick()
-		got := cc.PullRowIndices(p, worker, 0, idx)
+		got := rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
 		if got[0] != 11 || got[1] != 11 {
 			t.Fatalf("beyond bound: got %v, want 11", got)
 		}
@@ -134,9 +135,9 @@ func TestCacheEpochFencesStaleEntriesAfterRecovery(t *testing.T) {
 		idx := []int{1, 5, 25, 39}
 		// Warm the cache with post-checkpoint updates, in both forms.
 		sv, _ := linalg.NewSparse(idx, []float64{100, 100, 100, 100})
-		mat.PushAdd(p, worker, 0, sv)
-		cc.PullRowIndices(p, worker, 0, idx)
-		cc.PullRows(p, worker, []int{1})
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
+		rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
+		rdd.Must(cc.TryPullRows(p, worker, []int{1}))
 
 		// Lose server 0: the restore replays the checkpoint (the +100 update
 		// is lost) and starts fresh version counters.
@@ -145,10 +146,10 @@ func TestCacheEpochFencesStaleEntriesAfterRecovery(t *testing.T) {
 
 		cc.Tick()
 		fences := m.Cache.EpochFences
-		got := cc.PullRowIndices(p, worker, 0, idx)
-		rows := cc.PullRows(p, worker, []int{1})
-		want := mat.PullRowIndices(p, worker, 0, idx)
-		wantRow := mat.PullRows(p, worker, []int{1})[0]
+		got := rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
+		rows := rdd.Must(cc.TryPullRows(p, worker, []int{1}))
+		want := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
+		wantRow := rdd.Must(mat.TryPullRows(p, worker, []int{1}))[0]
 		for k := range idx {
 			if got[k] != want[k] {
 				t.Fatalf("idx %d = %v after recovery, want restored %v (stale read crossed the epoch)",
@@ -187,15 +188,15 @@ func TestCacheEpochFencesUnderChaosSoak(t *testing.T) {
 		idx := []int{0, 7, 20, 33, 41, 59}
 		for round := 0; round < 30; round++ {
 			sv, _ := linalg.NewSparse([]int{idx[round%len(idx)]}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 			if round%7 == 3 {
 				s := round % 3
 				m.KillServer(s)
 				m.RecoverServer(p, s)
 			}
 			cc.Tick()
-			got := cc.PullRowIndices(p, worker, 0, idx)
-			want := mat.PullRowIndices(p, worker, 0, idx)
+			got := rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
+			want := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
 			for k := range idx {
 				if got[k] != want[k] {
 					t.Fatalf("round %d: idx %d = %v, want %v", round, idx[k], got[k], want[k])
@@ -221,7 +222,7 @@ func TestCacheCapacityEvicts(t *testing.T) {
 		idx := []int{0, 5, 10, 15, 20, 25, 30, 35}
 		for round := 0; round < 3; round++ {
 			for r := 0; r < 8; r++ {
-				got := cc.PullRowIndices(p, worker, r, idx)
+				got := rdd.Must(cc.TryPullRowIndices(p, worker, r, idx))
 				for k, c := range idx {
 					if want := float64(100*r + c); got[k] != want {
 						t.Fatalf("round %d row %d idx %d = %v, want %v", round, r, c, got[k], want)
@@ -248,8 +249,8 @@ func TestCachedPullRowsHandlesDuplicates(t *testing.T) {
 		}
 		cc := NewCachedClient(mat, CacheConfig{Staleness: 0})
 		rows := []int{2, 0, 2, 3, 0}
-		got := cc.PullRows(p, worker, rows)
-		want := mat.PullRows(p, worker, rows)
+		got := rdd.Must(cc.TryPullRows(p, worker, rows))
+		want := rdd.Must(mat.TryPullRows(p, worker, rows))
 		for i := range rows {
 			for c := range got[i] {
 				if got[i][c] != want[i][c] {
@@ -260,7 +261,7 @@ func TestCachedPullRowsHandlesDuplicates(t *testing.T) {
 		// Output slices must be private copies: mutating one must not corrupt
 		// the cache or the duplicate's slot.
 		got[0][0] += 1000
-		again := cc.PullRows(p, worker, rows)
+		again := rdd.Must(cc.TryPullRows(p, worker, rows))
 		if again[0][0] != want[0][0] || again[2][0] != want[2][0] {
 			t.Fatal("pulled rows alias cache memory")
 		}
@@ -300,7 +301,7 @@ func TestDirtySkipKeepsCheckpointSizes(t *testing.T) {
 		// Mutate 3 elements in row 2 (one per shard boundary side) and
 		// rewrite row 4 with identical values (dirty but zero diff).
 		sv, _ := linalg.NewSparse([]int{0, 49, 99}, []float64{1, 1, 1})
-		mat.PushAdd(p, worker, 2, sv)
+		rdd.Check(mat.TryPushAdd(p, worker, 2, sv))
 		fillRow(p, mat, worker, 4, func(c int) float64 { return float64(4 + c) })
 
 		before := m.Recovery.CheckpointBytesWritten

@@ -24,17 +24,16 @@ import (
 // that races a crash blocks in retry/backoff until the failure detector has
 // swapped in a replacement, then lands on the restored shard.
 //
-// Every operator comes in two forms, uniformly: TryX returns a typed error
-// (wrapping ErrServerDown or simnet.ErrNodeDown) when a shard stays
-// unreachable past the retry budget, and the plain X delegates to TryX and
-// panics on that error — for jobs that treat an unrecoverable cluster as
-// fatal. Argument-validation failures (bad row, wrong dimension) are
-// programming errors and panic in both forms, with one exception: a
-// malformed index list (out of range or not strictly increasing) is data,
-// not code — sparse indices typically come straight from parsed instances —
-// so the index operators validate it up front and return ErrBadIndices
-// (wrapped) from the Try form instead of panicking deep inside a server
-// handler.
+// Every operator has one form, TryX, which returns a typed error (wrapping
+// ErrServerDown or simnet.ErrNodeDown) when a shard stays unreachable past
+// the retry budget. Callers with no error return of their own wrap it in
+// rdd.Must or rdd.Check, which panic with the error unchanged at the task
+// boundary. Argument-validation failures (bad row, wrong dimension) are
+// programming errors and panic, with one exception: a malformed index list
+// (out of range or not strictly increasing) is data, not code — sparse
+// indices typically come straight from parsed instances — so the index
+// operators validate it up front and return ErrBadIndices (wrapped) instead
+// of panicking deep inside a server handler.
 
 // ErrBadIndices is returned (wrapped) by the sparse index operators when the
 // index list is out of range or not strictly increasing.
@@ -56,20 +55,10 @@ func validateIndices(indices []int, dim int) error {
 	return nil
 }
 
-// PullRow fetches one full row from all servers in parallel and assembles it
+// TryPullRow fetches one full row from all servers in parallel and assembles it
 // at the caller. Every server ships its [lo,hi) stretch of the row, so the
 // transfer parallelizes over servers — the "multiple servers replace the
 // single-node driver" effect.
-func (mat *Matrix) PullRow(p *simnet.Proc, from *simnet.Node, row int) []float64 {
-	out, err := mat.TryPullRow(p, from, row)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRow is PullRow returning a typed error instead of panicking when a
-// shard stays unreachable.
 func (mat *Matrix) TryPullRow(p *simnet.Proc, from *simnet.Node, row int) ([]float64, error) {
 	out := make([]float64, mat.Dim)
 	if err := mat.TryPullRowInto(p, from, row, out); err != nil {
@@ -111,19 +100,9 @@ func (mat *Matrix) TryPullRowInto(p *simnet.Proc, from *simnet.Node, row int, ou
 	return firstError(errs)
 }
 
-// PullRowCompressed fetches a full row but ships only the stored nonzeros of
+// TryPullRowCompressed fetches a full row but ships only the stored nonzeros of
 // each shard as (index, value) pairs — the transfer a sparse server-side
 // representation would cost. Used by sparse DCVs.
-func (mat *Matrix) PullRowCompressed(p *simnet.Proc, from *simnet.Node, row int) []float64 {
-	out, err := mat.TryPullRowCompressed(p, from, row)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRowCompressed is PullRowCompressed returning a typed error instead
-// of panicking when a shard stays unreachable.
 func (mat *Matrix) TryPullRowCompressed(p *simnet.Proc, from *simnet.Node, row int) ([]float64, error) {
 	out := make([]float64, mat.Dim)
 	if err := mat.TryPullRowCompressedInto(p, from, row, out); err != nil {
@@ -175,20 +154,10 @@ func (mat *Matrix) ServerNode(s int) *simnet.Node { return mat.srv(s).Node }
 // memory; ordinary clients should use the pull/push operators.
 func (mat *Matrix) ShardOf(s int) *Shard { return mat.shardOn(s) }
 
-// PullRowIndices fetches only the given (strictly increasing) columns of a
+// TryPullRowIndices fetches only the given (strictly increasing) columns of a
 // row — sparse pull, the optimization the paper credits for PS2's advantage
 // over Petuum ("PS2 supports sparse communication and only pulls the needed
 // model parameters"). Returns values aligned with indices.
-func (mat *Matrix) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) []float64 {
-	out, err := mat.TryPullRowIndices(p, from, row, indices)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRowIndices is PullRowIndices returning a typed error instead of
-// panicking when a shard stays unreachable.
 func (mat *Matrix) TryPullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
 	out := make([]float64, len(indices))
 	if err := mat.TryPullRowIndicesInto(p, from, row, indices, out); err != nil {
@@ -255,18 +224,10 @@ func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, in
 	return firstError(errs)
 }
 
-// PushAdd adds a sparse delta into a row, splitting the update across the
+// TryPushAdd adds a sparse delta into a row, splitting the update across the
 // owning servers. This is the DCV `add` operator used as the gradient push in
 // the paper's Figure 3 (line 18); it is also the pull/push-only baselines'
 // push primitive.
-func (mat *Matrix) PushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *linalg.SparseVector) {
-	if err := mat.TryPushAdd(p, from, row, delta); err != nil {
-		panic(err)
-	}
-}
-
-// TryPushAdd is PushAdd returning a typed error instead of panicking when a
-// shard stays unreachable.
 func (mat *Matrix) TryPushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *linalg.SparseVector) error {
 	mat.checkRow(row)
 	if err := validateIndices(delta.Indices, mat.Dim); err != nil {
@@ -309,16 +270,8 @@ func (mat *Matrix) TryPushAdd(p *simnet.Proc, from *simnet.Node, row int, delta 
 	return firstError(errs)
 }
 
-// PushAddDense adds a dense delta into a row, shipping each server its full
+// TryPushAddDense adds a dense delta into a row, shipping each server its full
 // column range.
-func (mat *Matrix) PushAddDense(p *simnet.Proc, from *simnet.Node, row int, delta []float64) {
-	if err := mat.TryPushAddDense(p, from, row, delta); err != nil {
-		panic(err)
-	}
-}
-
-// TryPushAddDense is PushAddDense returning a typed error instead of
-// panicking when a shard stays unreachable.
 func (mat *Matrix) TryPushAddDense(p *simnet.Proc, from *simnet.Node, row int, delta []float64) error {
 	mat.checkRow(row)
 	if len(delta) != mat.Dim {
@@ -351,15 +304,7 @@ func (mat *Matrix) TryPushAddDense(p *simnet.Proc, from *simnet.Node, row int, d
 	return firstError(errs)
 }
 
-// SetRow overwrites a row (used to initialize models).
-func (mat *Matrix) SetRow(p *simnet.Proc, from *simnet.Node, row int, values []float64) {
-	if err := mat.TrySetRow(p, from, row, values); err != nil {
-		panic(err)
-	}
-}
-
-// TrySetRow is SetRow returning a typed error instead of panicking when a
-// shard stays unreachable.
+// TrySetRow overwrites a row (used to initialize models).
 func (mat *Matrix) TrySetRow(p *simnet.Proc, from *simnet.Node, row int, values []float64) error {
 	mat.checkRow(row)
 	if len(values) != mat.Dim {
@@ -391,20 +336,10 @@ func (mat *Matrix) TrySetRow(p *simnet.Proc, from *simnet.Node, row int, values 
 	return firstError(errs)
 }
 
-// PullRowRange fetches the columns [lo, hi) of one row, touching only the
+// TryPullRowRange fetches the columns [lo, hi) of one row, touching only the
 // servers whose shards overlap the range. It is how a pull/push-only client
 // partitions a model update across workers: worker i pulls and rewrites its
 // slice of every model vector.
-func (mat *Matrix) PullRowRange(p *simnet.Proc, from *simnet.Node, row, lo, hi int) []float64 {
-	out, err := mat.TryPullRowRange(p, from, row, lo, hi)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRowRange is PullRowRange returning a typed error instead of
-// panicking when a shard stays unreachable.
 func (mat *Matrix) TryPullRowRange(p *simnet.Proc, from *simnet.Node, row, lo, hi int) ([]float64, error) {
 	mat.checkRow(row)
 	if lo < 0 || hi > mat.Dim || lo > hi {
@@ -446,16 +381,8 @@ func (mat *Matrix) TryPullRowRange(p *simnet.Proc, from *simnet.Node, row, lo, h
 	return out, firstError(errs)
 }
 
-// SetRowRange overwrites columns [lo, hi) of one row, the mirror of
-// PullRowRange.
-func (mat *Matrix) SetRowRange(p *simnet.Proc, from *simnet.Node, row, lo, hi int, values []float64) {
-	if err := mat.TrySetRowRange(p, from, row, lo, hi, values); err != nil {
-		panic(err)
-	}
-}
-
-// TrySetRowRange is SetRowRange returning a typed error instead of panicking
-// when a shard stays unreachable.
+// TrySetRowRange overwrites columns [lo, hi) of one row, the mirror of
+// TryPullRowRange.
 func (mat *Matrix) TrySetRowRange(p *simnet.Proc, from *simnet.Node, row, lo, hi int, values []float64) error {
 	mat.checkRow(row)
 	if len(values) != hi-lo || lo < 0 || hi > mat.Dim || lo > hi {
@@ -498,10 +425,9 @@ func (mat *Matrix) TrySetRowRange(p *simnet.Proc, from *simnet.Node, row, lo, hi
 	return firstError(errs)
 }
 
-// PullRows fetches several whole rows in one batched request per server —
-// the access pattern of embedding workloads, where a worker needs the vectors
-// of one center vertex and its sampled contexts together. Returns one dense
-// vector per requested row.
+// PullRows is TryPullRows panicking on an availability error. It is the one
+// panicking twin left in this package, kept because the host-time benchmark
+// (perfbench/, a module of its own) calls it; new code uses TryPullRows.
 func (mat *Matrix) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) [][]float64 {
 	out, err := mat.TryPullRows(p, from, rows)
 	if err != nil {
@@ -510,8 +436,10 @@ func (mat *Matrix) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) [][]f
 	return out
 }
 
-// TryPullRows is PullRows returning a typed error instead of panicking when
-// a shard stays unreachable.
+// TryPullRows fetches several whole rows in one batched request per server —
+// the access pattern of embedding workloads, where a worker needs the vectors
+// of one center vertex and its sampled contexts together. Returns one dense
+// vector per requested row.
 func (mat *Matrix) TryPullRows(p *simnet.Proc, from *simnet.Node, rows []int) ([][]float64, error) {
 	out := make([][]float64, len(rows))
 	for i := range out {
@@ -561,16 +489,8 @@ func (mat *Matrix) TryPullRowsInto(p *simnet.Proc, from *simnet.Node, rows []int
 	return firstError(errs)
 }
 
-// PushRowsDelta adds one dense delta per row in one batched request per
+// TryPushRowsDelta adds one dense delta per row in one batched request per
 // server — the mirror of PullRows.
-func (mat *Matrix) PushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []int, deltas [][]float64) {
-	if err := mat.TryPushRowsDelta(p, from, rows, deltas); err != nil {
-		panic(err)
-	}
-}
-
-// TryPushRowsDelta is PushRowsDelta returning a typed error instead of
-// panicking when a shard stays unreachable.
 func (mat *Matrix) TryPushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []int, deltas [][]float64) error {
 	if len(rows) != len(deltas) {
 		panic(fmt.Sprintf("ps: PushRowsDelta got %d rows, %d deltas", len(rows), len(deltas)))
@@ -611,44 +531,22 @@ func (mat *Matrix) TryPushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []in
 	return firstError(errs)
 }
 
-// Invoke runs fn against every server's shard in parallel: the caller sends
+// TryInvoke runs fn against every server's shard in parallel: the caller sends
 // reqBytes to each server, the server charges work(width) compute, fn mutates
 // the shard and returns a partial scalar, and the server replies with
 // respBytes. The returned slice holds each server's partial. This is the
 // transport under every DCV column-access operator. Invocations are dedup'd
 // like pushes, so a retried invoke never double-applies a mutation; fn that
-// only reads should use InvokeRead, which skips the dedup tracking.
-func (mat *Matrix) Invoke(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes float64,
-	work func(width int) float64, fn func(s int, sh *Shard) float64) []float64 {
-	partials, err := mat.TryInvoke(p, from, reqBytes, respBytes, work, fn)
-	if err != nil {
-		panic(err)
-	}
-	return partials
-}
-
-// TryInvoke is Invoke returning a typed error instead of panicking when a
-// shard stays unreachable.
+// only reads should use TryInvokeRead, which skips the dedup tracking.
 func (mat *Matrix) TryInvoke(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes float64,
 	work func(width int) float64, fn func(s int, sh *Shard) float64) ([]float64, error) {
 	return mat.invoke(p, from, reqBytes, respBytes, work, fn, true)
 }
 
-// InvokeRead is Invoke for server-side computations that do not modify shard
-// state (reductions like RowSum). Read-only invocations are naturally
+// TryInvokeRead is TryInvoke for server-side computations that do not modify
+// shard state (reductions like TryRowSum). Read-only invocations are naturally
 // idempotent, so they skip request-ID allocation and applied-set tracking
 // entirely — in unreliable runs a reduction costs no dedup state.
-func (mat *Matrix) InvokeRead(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes float64,
-	work func(width int) float64, fn func(s int, sh *Shard) float64) []float64 {
-	partials, err := mat.TryInvokeRead(p, from, reqBytes, respBytes, work, fn)
-	if err != nil {
-		panic(err)
-	}
-	return partials
-}
-
-// TryInvokeRead is InvokeRead returning a typed error instead of panicking
-// when a shard stays unreachable.
 func (mat *Matrix) TryInvokeRead(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes float64,
 	work func(width int) float64, fn func(s int, sh *Shard) float64) ([]float64, error) {
 	return mat.invoke(p, from, reqBytes, respBytes, work, fn, false)
@@ -687,7 +585,8 @@ func (mat *Matrix) invoke(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes
 	return partials, firstError(errs)
 }
 
-// InvokeOp is one operation of a fused server-side program (see InvokeFused).
+// InvokeOp is one operation of a fused server-side program (see
+// TryInvokeFused).
 // ReqBytes/RespBytes are the op's payload beyond the shared per-request
 // framing; Work charges server CPU per shard; Fn runs against the shard and
 // returns this op's partial scalar.
@@ -799,28 +698,8 @@ func (mat *Matrix) TryInvokeFused(p *simnet.Proc, from *simnet.Node, ops []Invok
 	return partials, firstError(errs)
 }
 
-// InvokeFused is TryInvokeFused panicking on exhausted retries, mirroring the
-// plain/Try split of the row operators.
-func (mat *Matrix) InvokeFused(p *simnet.Proc, from *simnet.Node, ops []InvokeOp) [][]float64 {
-	partials, err := mat.TryInvokeFused(p, from, ops)
-	if err != nil {
-		panic(err)
-	}
-	return partials
-}
-
-// RowSum returns the sum of a row, computed server-side with only scalars on
+// TryRowSum returns the sum of a row, computed server-side with only scalars on
 // the wire.
-func (mat *Matrix) RowSum(p *simnet.Proc, from *simnet.Node, row int) float64 {
-	v, err := mat.TryRowSum(p, from, row)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// TryRowSum is RowSum returning a typed error instead of panicking when a
-// shard stays unreachable.
 func (mat *Matrix) TryRowSum(p *simnet.Proc, from *simnet.Node, row int) (float64, error) {
 	mat.checkRow(row)
 	cost := mat.master.Cl.Cost
@@ -833,17 +712,7 @@ func (mat *Matrix) TryRowSum(p *simnet.Proc, from *simnet.Node, row int) (float6
 	return linalg.Sum(partials), nil
 }
 
-// RowNnz returns the number of nonzero entries of a row, server-side.
-func (mat *Matrix) RowNnz(p *simnet.Proc, from *simnet.Node, row int) int {
-	v, err := mat.TryRowNnz(p, from, row)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// TryRowNnz is RowNnz returning a typed error instead of panicking when a
-// shard stays unreachable.
+// TryRowNnz returns the number of nonzero entries of a row, server-side.
 func (mat *Matrix) TryRowNnz(p *simnet.Proc, from *simnet.Node, row int) (int, error) {
 	mat.checkRow(row)
 	cost := mat.master.Cl.Cost
@@ -856,17 +725,7 @@ func (mat *Matrix) TryRowNnz(p *simnet.Proc, from *simnet.Node, row int) (int, e
 	return int(linalg.Sum(partials)), nil
 }
 
-// RowNorm2 returns the Euclidean norm of a row, server-side.
-func (mat *Matrix) RowNorm2(p *simnet.Proc, from *simnet.Node, row int) float64 {
-	v, err := mat.TryRowNorm2(p, from, row)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// TryRowNorm2 is RowNorm2 returning a typed error instead of panicking when
-// a shard stays unreachable.
+// TryRowNorm2 returns the Euclidean norm of a row, server-side.
 func (mat *Matrix) TryRowNorm2(p *simnet.Proc, from *simnet.Node, row int) (float64, error) {
 	mat.checkRow(row)
 	cost := mat.master.Cl.Cost

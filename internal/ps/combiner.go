@@ -1,16 +1,17 @@
 package ps
 
 // PushBuffer is the write-combining half of the worker-side cache layer: it
-// locally aggregates sparse (PushAdd-shaped) and dense (PushRowsDelta-shaped)
-// deltas across a mini-batch and flushes ONE coalesced message per server at
-// the clock tick. Accumulation is pure host work — deltas to the same
-// element merge by addition before ever touching the wire — so n pushes into
-// a hot row cost one request framing per server instead of n.
+// locally aggregates sparse (TryPushAdd-shaped) and dense
+// (TryPushRowsDelta-shaped) deltas across a mini-batch and flushes ONE
+// coalesced message per server at the clock tick. Accumulation is pure host
+// work — deltas to the same element merge by addition before ever touching
+// the wire — so n pushes into a hot row cost one request framing per server
+// instead of n.
 //
-// Flush rides Matrix.CallShard with Mutates set, so each per-server flush
+// TryFlush rides Matrix.CallShard with Mutates set, so each per-server flush
 // carries a dedup request ID: a flush retried through message loss or a
 // server crash re-applies exactly once per server incarnation, never
-// double-applying a delta. The buffered deltas are snapshotted when Flush
+// double-applying a delta. The buffered deltas are snapshotted when TryFlush
 // starts; Adds issued while a flush is in flight land in the next batch.
 //
 // Semantics: combining defers when deltas become visible (at flush, not at
@@ -105,8 +106,8 @@ func (b *PushBuffer) framingEstimate() float64 {
 }
 
 // Add absorbs one sparse delta into the buffer — the combining form of
-// PushAdd. It validates like the wire operator but costs nothing until
-// Flush.
+// TryPushAdd. It validates like the wire operator but costs nothing until
+// TryFlush.
 func (b *PushBuffer) Add(row int, delta *linalg.SparseVector) error {
 	b.mat.checkRow(row)
 	if err := validateIndices(delta.Indices, b.mat.Dim); err != nil {
@@ -135,7 +136,7 @@ func (b *PushBuffer) Add(row int, delta *linalg.SparseVector) error {
 }
 
 // AddRowsDelta absorbs one dense multi-row delta — the combining form of
-// PushRowsDelta (deltas[i] spans the full dimension, aligned with rows[i]).
+// TryPushRowsDelta (deltas[i] spans the full dimension, aligned with rows[i]).
 func (b *PushBuffer) AddRowsDelta(rows []int, deltas [][]float64) {
 	if len(rows) != len(deltas) {
 		panic("ps: PushBuffer.AddRowsDelta rows/deltas length mismatch")
@@ -188,13 +189,6 @@ func (b *PushBuffer) ApplyPending(rows []int, vecs [][]float64) {
 
 // Pending returns the number of rows with buffered deltas.
 func (b *PushBuffer) Pending() int { return len(b.sparse) + len(b.dense) }
-
-// Flush is TryFlush panicking on exhausted retries.
-func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) {
-	if err := b.TryFlush(p, from); err != nil {
-		panic(err)
-	}
-}
 
 // TryFlush ships every buffered delta as one coalesced request per server
 // that has any, applying dense then sparse deltas in sorted row/column order

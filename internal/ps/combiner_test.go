@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -62,12 +63,12 @@ func TestPushBufferCombinesDeltas(t *testing.T) {
 				vecs[0][2], vecs[0][59], want[0][2], want[0][59])
 		}
 
-		buf.Flush(p, worker)
+		rdd.Check(buf.TryFlush(p, worker))
 		if buf.Pending() != 0 {
 			t.Fatal("flush left deltas pending")
 		}
 		for row, cols := range want {
-			got := mat.PullRow(p, worker, row)
+			got := rdd.Must(mat.TryPullRow(p, worker, row))
 			for c := range got {
 				if got[c] != cols[c] {
 					t.Fatalf("row %d col %d = %v, want %v", row, c, got[c], cols[c])
@@ -120,11 +121,11 @@ func TestCombinedFlushExactlyOnceUnderChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			if round%4 == 3 {
-				buf.Flush(p, worker)
+				rdd.Check(buf.TryFlush(p, worker))
 			}
 		}
-		buf.Flush(p, worker)
-		got := mat.PullRow(p, worker, 0)
+		rdd.Check(buf.TryFlush(p, worker))
+		got := rdd.Must(mat.TryPullRow(p, worker, 0))
 		for c := range got {
 			if got[c] != total[c] {
 				t.Fatalf("col %d = %v, want exactly %v (loss rate forced retries; double-apply?)",
@@ -197,7 +198,7 @@ func TestAutoFlushThresholdAndAdaptation(t *testing.T) {
 			t.Fatalf("pendingBytes %v after duplicate add, want %v", buf.pendingBytes, float64(col)*sparseColBytes)
 		}
 
-		buf.Flush(p, worker)
+		rdd.Check(buf.TryFlush(p, worker))
 		if m.Cache.AutoFlushes != 1 || m.Cache.Flushes != 1 {
 			t.Fatalf("stats: %d auto of %d flushes, want 1 of 1", m.Cache.AutoFlushes, m.Cache.Flushes)
 		}
@@ -217,7 +218,7 @@ func TestAutoFlushThresholdAndAdaptation(t *testing.T) {
 		if err := buf.Add(0, sv2); err != nil {
 			t.Fatal(err)
 		}
-		buf.Flush(p, worker)
+		rdd.Check(buf.TryFlush(p, worker))
 		if m.Cache.AutoFlushes != 1 || m.Cache.Flushes != 2 {
 			t.Fatalf("stats after manual flush: %d auto of %d flushes, want 1 of 2", m.Cache.AutoFlushes, m.Cache.Flushes)
 		}
@@ -246,13 +247,13 @@ func TestFlushSnapshotsBufferAtStart(t *testing.T) {
 			}
 			close(done)
 		})
-		buf.Flush(p, worker)
+		rdd.Check(buf.TryFlush(p, worker))
 		<-done
 		if buf.Pending() != 1 {
 			t.Fatalf("concurrent add lost: %d pending after flush", buf.Pending())
 		}
-		buf.Flush(p, worker)
-		got := mat.PullRow(p, worker, 0)
+		rdd.Check(buf.TryFlush(p, worker))
+		got := rdd.Must(mat.TryPullRow(p, worker, 0))
 		if got[4] != 1 || got[9] != 5 {
 			t.Fatalf("got %v/%v at cols 4/9, want 1/5", got[4], got[9])
 		}

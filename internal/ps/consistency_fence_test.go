@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -31,10 +32,10 @@ func TestValueBoundedCacheFencedByMigration(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) * 1.5
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewValueBounded(1e18)})
 		idx := []int{0, 5, 11, 17, 23}
-		cc.PullRowIndices(p, worker, 0, idx) // warm under placement A
+		rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx)) // warm under placement A
 		if err := m.MigrateMatrix(p, mat, mustRange(24, 6), fp(mat)); err != nil {
 			t.Fatal(err)
 		}
@@ -42,10 +43,10 @@ func TestValueBoundedCacheFencedByMigration(t *testing.T) {
 		// cache client, so no delta is credited: a value-bounded entry without
 		// the fence would still claim ServeCached.
 		sv, _ := linalg.NewSparse([]int{5, 17}, []float64{100, 200})
-		mat.PushAdd(p, worker, 0, sv)
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		vals[5] += 100
 		vals[17] += 200
-		got := cc.PullRowIndices(p, worker, 0, idx)
+		got := rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
 		for k, c := range idx {
 			if got[k] != vals[c] {
 				t.Fatalf("cached col %d = %v, want %v (value-bounded entry crossed the migration)",
@@ -76,9 +77,9 @@ func TestValueBoundedCacheFencedByRecovery(t *testing.T) {
 		idx := []int{1, 5, 25, 39}
 		// Warm the cache with post-checkpoint state, in both entry forms.
 		sv, _ := linalg.NewSparse(idx, []float64{100, 100, 100, 100})
-		mat.PushAdd(p, worker, 0, sv)
-		cc.PullRowIndices(p, worker, 0, idx)
-		cc.PullRows(p, worker, []int{1})
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
+		rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
+		rdd.Must(cc.TryPullRows(p, worker, []int{1}))
 
 		// Lose server 0: the restore replays the checkpoint (the +100 update
 		// is lost) and starts fresh version counters and drift watermarks.
@@ -87,10 +88,10 @@ func TestValueBoundedCacheFencedByRecovery(t *testing.T) {
 
 		cc.Tick()
 		fences := m.Cache.EpochFences
-		got := cc.PullRowIndices(p, worker, 0, idx)
-		rows := cc.PullRows(p, worker, []int{1})
-		want := mat.PullRowIndices(p, worker, 0, idx)
-		wantRow := mat.PullRows(p, worker, []int{1})[0]
+		got := rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
+		rows := rdd.Must(cc.TryPullRows(p, worker, []int{1}))
+		want := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
+		wantRow := rdd.Must(mat.TryPullRows(p, worker, []int{1}))[0]
 		for k := range idx {
 			if got[k] != want[k] {
 				t.Fatalf("idx %d = %v after recovery, want restored %v (value-bounded read crossed the epoch)",
@@ -157,9 +158,9 @@ func (c *legacySSP) waitTurn(p *simnet.Proc, iter, staleness int) {
 
 // TestSSPWaitReleaseSequencesMatchLegacy replays a heterogeneous 4-worker
 // schedule through both gates and requires the exact same start sequence
-// (worker, iteration, virtual time) and the same finish time: the refactored
-// WaitTurn — a ClockBounded policy admission — is behaviorally
-// indistinguishable from the historic integer comparison.
+// (worker, iteration, virtual time) and the same finish time: WaitPolicy with
+// a ClockBounded policy is behaviorally indistinguishable from the historic
+// integer comparison.
 func TestSSPWaitReleaseSequencesMatchLegacy(t *testing.T) {
 	type event struct {
 		w, it int
@@ -183,7 +184,7 @@ func TestSSPWaitReleaseSequencesMatchLegacy(t *testing.T) {
 					if useLegacy {
 						legacy.waitTurn(p, it, staleness)
 					} else {
-						clock.WaitTurn(p, w, it, staleness)
+						clock.WaitPolicy(p, consistency.NewClockBounded(staleness), it)
 					}
 					trace = append(trace, event{w: w, it: it, at: p.Now()})
 					p.Sleep(d)
@@ -216,15 +217,15 @@ func TestSSPWaitReleaseSequencesMatchLegacy(t *testing.T) {
 	}
 }
 
-// TestSSPWaitUntilMinShim pins the deprecated WaitUntilMin to its contract:
-// the waiter releases exactly when the minimum clock reaches the target, not
-// a tick earlier or later.
-func TestSSPWaitUntilMinShim(t *testing.T) {
+// TestSSPWaitPolicyZeroSlack pins a zero-slack clock-bounded wait to its
+// contract: the waiter releases exactly when the minimum clock reaches the
+// target, not a tick earlier or later.
+func TestSSPWaitPolicyZeroSlack(t *testing.T) {
 	sim := simnet.New()
 	clock := NewSSPClock(sim, 2)
 	released := -1
 	sim.Spawn("driver", func(p *simnet.Proc) {
-		clock.WaitUntilMin(p, 3)
+		clock.WaitPolicy(p, consistency.NewClockBounded(0), 3)
 		released = clock.MinClock()
 	})
 	sim.Spawn("ticker", func(p *simnet.Proc) {
@@ -236,6 +237,6 @@ func TestSSPWaitUntilMinShim(t *testing.T) {
 	})
 	sim.Run()
 	if released != 3 {
-		t.Fatalf("WaitUntilMin released at min clock %d, want exactly 3", released)
+		t.Fatalf("zero-slack wait released at min clock %d, want exactly 3", released)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -37,7 +38,7 @@ func TestDedupBoundedByWatermark(t *testing.T) {
 		peak := 0
 		for r := 0; r < rounds; r++ {
 			sv, _ := linalg.NewSparse([]int{r % 30}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 			if n := maxDedupSize(m); n > peak {
 				peak = n
 			}
@@ -76,11 +77,11 @@ func TestReadOnlyCallsAllocateNoIDs(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i % 5)
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 		seqAfterWrite := m.reqSeq
-		mat.RowSum(p, worker, 0)
-		mat.RowNnz(p, worker, 0)
-		mat.RowNorm2(p, worker, 0)
+		rdd.Must(mat.TryRowSum(p, worker, 0))
+		rdd.Must(mat.TryRowNnz(p, worker, 0))
+		rdd.Must(mat.TryRowNorm2(p, worker, 0))
 		if _, err := mat.TryPullRow(p, worker, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestCrashResetsPruneWatermark(t *testing.T) {
 		worker := cl.Executors[0]
 		for r := 0; r < 10; r++ {
 			sv, _ := linalg.NewSparse([]int{r}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		}
 		m.CrashServer(0)
 		m.RecoverServer(p, 0)
@@ -116,7 +117,7 @@ func TestCrashResetsPruneWatermark(t *testing.T) {
 		}
 		for r := 0; r < 10; r++ {
 			sv, _ := linalg.NewSparse([]int{r}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		}
 		if n := maxDedupSize(m); n > 16 {
 			t.Fatalf("dedup set grew to %d entries after recovery", n)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -24,7 +25,7 @@ func lostServerMaster(t *testing.T) (*simnet.Sim, *Matrix, *simnet.Node) {
 		for c := range vals {
 			vals[c] = float64(c)
 		}
-		mat.SetRow(p, cl.Executors[0], 0, vals)
+		rdd.Check(mat.TrySetRow(p, cl.Executors[0], 0, vals))
 		m.KillServer(0)
 	})
 	return sim, mat, cl.Executors[0]

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -24,7 +25,7 @@ func TestMigrateValidation(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		mat.SetRow(p, worker, 0, make([]float64, 16))
+		rdd.Check(mat.TrySetRow(p, worker, 0, make([]float64, 16)))
 		good, _ := NewRangePlacement(16, 2)
 
 		if err := m.MigrateMatrix(p, mat, nil, fp(mat)); !errors.Is(err, ErrBadMigration) {
@@ -80,7 +81,7 @@ func TestMigrateDeadServerErrors(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) + 0.25
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 
 		target, _ := NewBlockHashPlacement(16, 4, 2, 7)
@@ -90,14 +91,14 @@ func TestMigrateDeadServerErrors(t *testing.T) {
 		}
 		// Old placement still serves reads of the surviving shards: column 0
 		// lives on server 0 under range placement.
-		if got := mat.PullRowIndices(p, worker, 0, []int{0, 1})[0]; got != vals[0] {
+		if got := rdd.Must(mat.TryPullRowIndices(p, worker, 0, []int{0, 1}))[0]; got != vals[0] {
 			t.Fatalf("old placement read = %v, want %v", got, vals[0])
 		}
 		m.RecoverServer(p, 2)
 		if err := m.MigrateMatrix(p, mat, target, fp(mat)); err != nil {
 			t.Fatalf("retry after recovery: %v", err)
 		}
-		got := mat.PullRow(p, worker, 0)
+		got := rdd.Must(mat.TryPullRow(p, worker, 0))
 		for c := range vals {
 			if got[c] != vals[c] {
 				t.Fatalf("post-migration row[%d] = %v, want %v", c, got[c], vals[c])
@@ -125,7 +126,7 @@ func TestMigratePreservesValues(t *testing.T) {
 			for c := range oracle[r] {
 				oracle[r][c] = math.Sin(float64(r*dim + c))
 			}
-			mat.SetRow(p, worker, r, oracle[r])
+			rdd.Check(mat.TrySetRow(p, worker, r, oracle[r]))
 		}
 		weight := make([]float64, dim)
 		for c := range weight {
@@ -140,13 +141,13 @@ func TestMigratePreservesValues(t *testing.T) {
 				t.Fatalf("hop %d: %v", h, err)
 			}
 			for r := 0; r < rows; r++ {
-				got := mat.PullRow(p, worker, r)
+				got := rdd.Must(mat.TryPullRow(p, worker, r))
 				for c := range oracle[r] {
 					if got[c] != oracle[r][c] {
 						t.Fatalf("hop %d row %d col %d = %v, want %v", h, r, c, got[c], oracle[r][c])
 					}
 				}
-				sp := mat.PullRowIndices(p, worker, r, sparseIdx)
+				sp := rdd.Must(mat.TryPullRowIndices(p, worker, r, sparseIdx))
 				for k, c := range sparseIdx {
 					if sp[k] != oracle[r][c] {
 						t.Fatalf("hop %d sparse row %d col %d = %v, want %v", h, r, c, sp[k], oracle[r][c])
@@ -156,7 +157,7 @@ func TestMigratePreservesValues(t *testing.T) {
 			// Mutate through the new placement so the next hop carries a
 			// post-migration write set.
 			sv, _ := linalg.NewSparse([]int{2, 17, 36}, []float64{1, -0.5, float64(h)})
-			mat.PushAdd(p, worker, h%rows, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, h%rows, sv))
 			for k, c := range []int{2, 17, 36} {
 				oracle[h%rows][c] += []float64{1, -0.5, float64(h)}[k]
 			}
@@ -193,14 +194,14 @@ func TestMigrateZeroWidthSourceHandoff(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		mat.SetRow(p, worker, 0, []float64{1.5, -2.5, 3.5})
-		mat.SetRow(p, worker, 1, []float64{4, 5, 6})
+		rdd.Check(mat.TrySetRow(p, worker, 0, []float64{1.5, -2.5, 3.5}))
+		rdd.Check(mat.TrySetRow(p, worker, 1, []float64{4, 5, 6}))
 		if err := m.MigrateMatrix(p, mat, mustRange(3, 3), fp(mat)); err != nil {
 			t.Fatal(err)
 		}
 		want := [][]float64{{1.5, -2.5, 3.5}, {4, 5, 6}}
 		for r := range want {
-			got := mat.PullRow(p, worker, r)
+			got := rdd.Must(mat.TryPullRow(p, worker, r))
 			for c := range want[r] {
 				if got[c] != want[r][c] {
 					t.Fatalf("row %d col %d = %v, want %v", r, c, got[c], want[r][c])
@@ -223,7 +224,7 @@ func TestMigrateUnderConcurrentTraffic(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		mat.SetRow(p, worker, 0, make([]float64, dim))
+		rdd.Check(mat.TrySetRow(p, worker, 0, make([]float64, dim)))
 		startFP := fp(mat)
 		var migErr error
 		g := p.Sim().NewGroup()
@@ -233,7 +234,7 @@ func TestMigrateUnderConcurrentTraffic(t *testing.T) {
 				if (i*7+3)%dim == i%dim {
 					sv, _ = linalg.NewSparse([]int{i % dim}, []float64{2})
 				}
-				mat.PushAdd(cp, cl.Executors[1], 0, sv)
+				rdd.Check(mat.TryPushAdd(cp, cl.Executors[1], 0, sv))
 			}
 		})
 		g.Go("migrator", func(cp *simnet.Proc) {
@@ -251,7 +252,7 @@ func TestMigrateUnderConcurrentTraffic(t *testing.T) {
 			want[i%dim]++
 			want[(i*7+3)%dim]++
 		}
-		got := mat.PullRow(p, worker, 0)
+		got := rdd.Must(mat.TryPullRow(p, worker, 0))
 		for c := range want {
 			if got[c] != want[c] {
 				t.Fatalf("col %d = %v, want %v (pushes lost or double-applied)", c, got[c], want[c])
@@ -278,7 +279,7 @@ func TestMigrateThenCrashRecovers(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c)*0.5 + 1
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 		if err := m.MigrateMatrix(p, mat, mustRange(32, 8), fp(mat)); err != nil {
 			t.Fatal(err)
@@ -286,7 +287,7 @@ func TestMigrateThenCrashRecovers(t *testing.T) {
 		// Crash a server that owns columns only under the NEW placement.
 		m.CrashServer(6)
 		m.RecoverServer(p, 6)
-		got := mat.PullRow(p, worker, 0)
+		got := rdd.Must(mat.TryPullRow(p, worker, 0))
 		for c := range vals {
 			if got[c] != vals[c] {
 				t.Fatalf("post-crash row[%d] = %v, want %v", c, got[c], vals[c])
@@ -314,10 +315,10 @@ func TestCachedClientSurvivesMigration(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) * 1.5
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 		cc := NewCachedClient(mat, CacheConfig{Staleness: 2})
 		idx := []int{0, 5, 11, 17, 23}
-		cc.PullRowIndices(p, worker, 0, idx) // warm the cache under placement A
+		rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx)) // warm the cache under placement A
 		if err := m.MigrateMatrix(p, mat, mustRange(24, 6), fp(mat)); err != nil {
 			t.Fatal(err)
 		}
@@ -325,10 +326,10 @@ func TestCachedClientSurvivesMigration(t *testing.T) {
 		// still inside the staleness window: without the generation fence the
 		// stale copy would serve.
 		sv, _ := linalg.NewSparse([]int{5, 17}, []float64{100, 200})
-		mat.PushAdd(p, worker, 0, sv)
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		vals[5] += 100
 		vals[17] += 200
-		got := cc.PullRowIndices(p, worker, 0, idx)
+		got := rdd.Must(cc.TryPullRowIndices(p, worker, 0, idx))
 		for k, c := range idx {
 			if got[k] != vals[c] {
 				t.Fatalf("cached col %d = %v, want %v (stale cross-placement entry served)", c, got[k], vals[c])
@@ -355,14 +356,14 @@ func TestHotReplicaSurvivesMigration(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) + 0.125
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3, 16, 17}, Staleness: 3})
 		if err != nil {
 			panic(err)
 		}
 		idx := []int{0, 1, 2, 3, 9, 16, 17, 30}
 		for i := 0; i < 4; i++ { // warm every rotating store under placement A
-			rs.PullRowIndices(p, worker, 0, idx)
+			rdd.Must(rs.TryPullRowIndices(p, worker, 0, idx))
 		}
 		if err := m.MigrateMatrix(p, mat, mustRange(32, 8), fp(mat)); err != nil {
 			t.Fatal(err)
@@ -370,12 +371,12 @@ func TestHotReplicaSurvivesMigration(t *testing.T) {
 		// Write through the new owners, then read via replicas while the old
 		// copies would still be inside the staleness bound.
 		sv, _ := linalg.NewSparse([]int{1, 16}, []float64{50, -50})
-		mat.PushAdd(p, worker, 0, sv)
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		vals[1] += 50
 		vals[16] -= 50
 		for i := 0; i < 8; i++ { // hit every post-migration store
-			got := rs.PullRowIndices(p, worker, 0, idx)
-			want := mat.PullRowIndices(p, worker, 0, idx)
+			got := rdd.Must(rs.TryPullRowIndices(p, worker, 0, idx))
+			want := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
 			for k, c := range idx {
 				if got[k] != want[k] || got[k] != vals[c] {
 					t.Fatalf("replica col %d = %v, owner %v, oracle %v", c, got[k], want[k], vals[c])
@@ -400,7 +401,7 @@ func TestAddRemoveServers(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c * c)
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 
 		if err := m.AddServers(p, 0); !errors.Is(err, ErrBadMigration) {
 			t.Fatalf("AddServers(0): got %v, want ErrBadMigration", err)
@@ -430,7 +431,7 @@ func TestAddRemoveServers(t *testing.T) {
 		if err := m.RemoveServers(p, 4); !errors.Is(err, ErrBadMigration) {
 			t.Fatalf("RemoveServers leaving zero: got %v, want ErrBadMigration", err)
 		}
-		got := mat.PullRow(p, worker, 0)
+		got := rdd.Must(mat.TryPullRow(p, worker, 0))
 		for c := range vals {
 			if got[c] != vals[c] {
 				t.Fatalf("after scale-in row[%d] = %v, want %v", c, got[c], vals[c])

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -33,14 +34,14 @@ func TestDedupHitWithoutTracer(t *testing.T) {
 		worker := cl.Executors[0]
 		for r := 0; r < 300; r++ {
 			sv, _ := linalg.NewSparse([]int{r % 30}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		}
 		if m.Net.DedupHits == 0 {
 			t.Fatal("no dedup hits: the scenario never exercised the branch under test")
 		}
 		// Exactly-once held across every retried mutation: 300 increments of
 		// +1 spread over 30 columns.
-		row := mat.PullRow(p, worker, 0)
+		row := rdd.Must(mat.TryPullRow(p, worker, 0))
 		for c, v := range row {
 			if v != 10 {
 				t.Fatalf("col %d = %v after 300 pushes, want 10 (dedup replay corrupted state)", c, v)
@@ -65,7 +66,7 @@ func TestDetectorFiresWithoutTracer(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i)
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 
 		m.StartMonitor(DefaultDetectorConfig())
@@ -80,7 +81,7 @@ func TestDetectorFiresWithoutTracer(t *testing.T) {
 		if m.Recovery.Recoveries != 1 {
 			t.Fatalf("Recoveries = %d, want 1", m.Recovery.Recoveries)
 		}
-		row := mat.PullRow(p, worker, 0)
+		row := rdd.Must(mat.TryPullRow(p, worker, 0))
 		for c, v := range row {
 			if v != vals[c] {
 				t.Fatalf("col %d = %v after untraced recovery, want %v", c, v, vals[c])
@@ -108,7 +109,7 @@ func TestSimnetTransportAccounting(t *testing.T) {
 		worker := cl.Executors[0]
 		for r := 0; r < 100; r++ {
 			sv, _ := linalg.NewSparse([]int{r % 30}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		}
 		st := m.Transport().Stats()
 		if st.Sends == 0 || st.Bytes <= 0 {

@@ -400,7 +400,7 @@ func splitByServer(n int, indices []int, serverOf func(int) int) [][]int {
 }
 
 // contiguousPlacement reports whether every server's view is a dense range —
-// the condition under which range-only consumers (PullRowRange's overlap
+// the condition under which range-only consumers (TryPullRowRange's overlap
 // arithmetic, gbdt's histogram spans) can use their fast paths.
 func contiguousPlacement(pl Placement) bool {
 	for s := 0; s < pl.NumServers(); s++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -178,15 +179,15 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 			for c := range init {
 				init[c] = math.Sin(float64(c))
 			}
-			mat.SetRow(p, worker, 0, init)
+			rdd.Check(mat.TrySetRow(p, worker, 0, init))
 			sv, _ := linalg.NewSparse([]int{1, 5, 17, 30, 36}, []float64{0.5, -2, 3.25, 1, -0.125})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 			dense := make([]float64, dim)
 			for c := range dense {
 				dense[c] = float64(c%5) * 0.25
 			}
-			mat.PushAddDense(p, worker, 1, dense)
-			mat.SetRowRange(p, worker, 2, 10, 25, init[10:25])
+			rdd.Check(mat.TryPushAddDense(p, worker, 1, dense))
+			rdd.Check(mat.TrySetRowRange(p, worker, 2, 10, 25, init[10:25]))
 			// A fused program: scale row 0, then reduce its sum — exercises
 			// the per-shard program path under every placement.
 			partials, err := mat.TryInvokeFused(p, worker, []InvokeOp{
@@ -215,9 +216,9 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 			for _, x := range partials[1] {
 				fusedSum += x
 			}
-			r0 := mat.PullRow(p, worker, 0)
-			r1 := mat.PullRowIndices(p, worker, 1, []int{0, 4, 9, 20, 36})
-			r2 := mat.PullRowRange(p, worker, 2, 8, 30)
+			r0 := rdd.Must(mat.TryPullRow(p, worker, 0))
+			r1 := rdd.Must(mat.TryPullRowIndices(p, worker, 1, []int{0, 4, 9, 20, 36}))
+			r2 := rdd.Must(mat.TryPullRowRange(p, worker, 2, 8, 30))
 			out = [][]float64{r0, r1, r2, {fusedSum}}
 		})
 		return out
@@ -259,9 +260,9 @@ func TestZeroWidthShards(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			mat.SetRow(p, worker, 0, []float64{1, 2, 3})
+			rdd.Check(mat.TrySetRow(p, worker, 0, []float64{1, 2, 3}))
 			sv, _ := linalg.NewSparse([]int{0, 2}, []float64{10, 30})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 			if _, err := mat.TryInvokeFused(p, worker, []InvokeOp{
 				{ReqBytes: 8, Mutates: true, DirtyRows: []int{0},
 					Work: func(w int) float64 { return float64(w) },
@@ -277,7 +278,7 @@ func TestZeroWidthShards(t *testing.T) {
 			m.Checkpoint(p, mat)
 			m.CrashServer(0)
 			m.RecoverServer(p, 0)
-			got := mat.PullRow(p, worker, 0)
+			got := rdd.Must(mat.TryPullRow(p, worker, 0))
 			want := []float64{12, 3, 34}
 			for c := range want {
 				if got[c] != want[c] {
@@ -305,11 +306,11 @@ func TestNonContiguousCheckpointRestore(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) + 0.5
 		}
-		mat.SetRow(p, worker, 1, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 1, vals))
 		m.Checkpoint(p, mat)
 		m.CrashServer(2)
 		m.RecoverServer(p, 2)
-		got := mat.PullRow(p, worker, 1)
+		got := rdd.Must(mat.TryPullRow(p, worker, 1))
 		for c := range vals {
 			if got[c] != vals[c] {
 				t.Fatalf("restored row[%d] = %v, want %v", c, got[c], vals[c])
@@ -336,13 +337,13 @@ func TestHotReplicaBitIdenticalAtStalenessZero(t *testing.T) {
 		idx := []int{0, 2, 3, 7, 12, 15, 20, 31}
 		for round := 0; round < 6; round++ {
 			sv, _ := linalg.NewSparse([]int{3, 15, 20}, []float64{float64(round) + 0.25, -1, 2})
-			mat.PushAdd(p, worker, 0, sv)
-			rs.Tick()
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
+			mat.TickClock()
 			// More pulls than servers: the round-robin rotation revisits
 			// stores within the clock, so later pulls must hit locally.
 			for rep := 0; rep < 8; rep++ {
-				got := rs.PullRowIndices(p, worker, 0, idx)
-				want := mat.PullRowIndices(p, worker, 0, idx)
+				got := rdd.Must(rs.TryPullRowIndices(p, worker, 0, idx))
+				want := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
 				for k := range want {
 					if got[k] != want[k] {
 						t.Fatalf("round %d rep %d: replica read col %d = %v, owner %v",
@@ -376,7 +377,7 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) * 1.25
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}, Staleness: 1})
 		if err != nil {
@@ -384,15 +385,15 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		}
 		idx := []int{0, 1, 2, 3, 10}
 		for i := 0; i < 4; i++ { // warm every rotating store
-			rs.PullRowIndices(p, worker, 0, idx)
+			rdd.Must(rs.TryPullRowIndices(p, worker, 0, idx))
 		}
 		m.CrashServer(0) // owner of the hot prefix under range placement
 		m.RecoverServer(p, 0)
-		rs.Tick()
-		rs.Tick() // step past the staleness bound so copies revalidate
+		mat.TickClock()
+		mat.TickClock()          // step past the staleness bound so copies revalidate
 		for i := 0; i < 4; i++ { // every store must refetch and agree
-			got := rs.PullRowIndices(p, worker, 0, idx)
-			want := mat.PullRowIndices(p, worker, 0, idx)
+			got := rdd.Must(rs.TryPullRowIndices(p, worker, 0, idx))
+			want := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
 			for k := range want {
 				if got[k] != want[k] {
 					t.Fatalf("post-recovery replica read col %d = %v, owner %v", idx[k], got[k], want[k])

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -167,18 +168,18 @@ func TestCreatePullPushRoundTrip(t *testing.T) {
 			return
 		}
 		worker := cl.Executors[0]
-		row := mat.PullRow(p, worker, 0)
+		row := rdd.Must(mat.TryPullRow(p, worker, 0))
 		if len(row) != 100 || linalg.Sum(row) != 0 {
 			t.Errorf("fresh matrix row not zero: sum=%v", linalg.Sum(row))
 		}
 		sv, _ := linalg.NewSparse([]int{3, 26, 99}, []float64{1, 2, 3})
-		mat.PushAdd(p, worker, 0, sv)
-		mat.PushAdd(p, worker, 0, sv)
-		row = mat.PullRow(p, worker, 0)
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
+		row = rdd.Must(mat.TryPullRow(p, worker, 0))
 		if row[3] != 2 || row[26] != 4 || row[99] != 6 {
 			t.Errorf("push-add wrong: %v %v %v", row[3], row[26], row[99])
 		}
-		vals := mat.PullRowIndices(p, worker, 0, []int{3, 26, 99})
+		vals := rdd.Must(mat.TryPullRowIndices(p, worker, 0, []int{3, 26, 99}))
 		if vals[0] != 2 || vals[1] != 4 || vals[2] != 6 {
 			t.Errorf("sparse pull wrong: %v", vals)
 		}
@@ -194,11 +195,11 @@ func TestPushAddDenseAndSetRow(t *testing.T) {
 		for i := range init {
 			init[i] = float64(i)
 		}
-		mat.SetRow(p, worker, 0, init)
+		rdd.Check(mat.TrySetRow(p, worker, 0, init))
 		delta := make([]float64, 10)
 		linalg.Fill(delta, 1)
-		mat.PushAddDense(p, worker, 0, delta)
-		row := mat.PullRow(p, worker, 0)
+		rdd.Check(mat.TryPushAddDense(p, worker, 0, delta))
+		row := rdd.Must(mat.TryPullRow(p, worker, 0))
 		for i := range row {
 			if row[i] != float64(i)+1 {
 				t.Errorf("row[%d] = %v, want %v", i, row[i], float64(i)+1)
@@ -213,14 +214,14 @@ func TestRowAggregates(t *testing.T) {
 		mat, _ := m.CreateMatrix(p, 1, 50)
 		worker := cl.Executors[1]
 		sv, _ := linalg.NewSparse([]int{0, 10, 30, 49}, []float64{3, 4, 0, -12})
-		mat.PushAdd(p, worker, 0, sv)
-		if got := mat.RowSum(p, worker, 0); math.Abs(got-(-5)) > 1e-9 {
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
+		if got := rdd.Must(mat.TryRowSum(p, worker, 0)); math.Abs(got-(-5)) > 1e-9 {
 			t.Errorf("RowSum = %v, want -5", got)
 		}
-		if got := mat.RowNnz(p, worker, 0); got != 3 {
+		if got := rdd.Must(mat.TryRowNnz(p, worker, 0)); got != 3 {
 			t.Errorf("RowNnz = %v, want 3 (zero-valued push does not count)", got)
 		}
-		if got := mat.RowNorm2(p, worker, 0); math.Abs(got-13) > 1e-9 {
+		if got := rdd.Must(mat.TryRowNorm2(p, worker, 0)); math.Abs(got-13) > 1e-9 {
 			t.Errorf("RowNorm2 = %v, want 13", got)
 		}
 	})
@@ -237,9 +238,9 @@ func TestSparsePullCheaperThanFull(t *testing.T) {
 			worker := cl.Executors[0]
 			start := p.Now()
 			if sparse {
-				mat.PullRowIndices(p, worker, 0, []int{1, 5, 100, 5000, 10000, 250000, 400000, 700000, 900000, 999999})
+				rdd.Must(mat.TryPullRowIndices(p, worker, 0, []int{1, 5, 100, 5000, 10000, 250000, 400000, 700000, 900000, 999999}))
 			} else {
-				mat.PullRow(p, worker, 0)
+				rdd.Must(mat.TryPullRow(p, worker, 0))
 			}
 			elapsed = p.Now() - start
 		})
@@ -267,7 +268,7 @@ func TestMoreServersServeRowPullFaster(t *testing.T) {
 			start := p.Now()
 			for _, w := range cl.Executors {
 				w := w
-				g.Go("puller", func(wp *simnet.Proc) { mat.PullRow(wp, w, 0) })
+				g.Go("puller", func(wp *simnet.Proc) { rdd.Must(mat.TryPullRow(wp, w, 0)) })
 			}
 			g.Wait(p)
 			elapsed = p.Now() - start
@@ -288,10 +289,10 @@ func TestInvokePartials(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 40)
 		linalg.Fill(ones, 1)
-		mat.SetRow(p, worker, 0, ones)
-		partials := mat.Invoke(p, worker, 8, 8, nil, func(s int, sh *Shard) float64 {
+		rdd.Check(mat.TrySetRow(p, worker, 0, ones))
+		partials := rdd.Must(mat.TryInvoke(p, worker, 8, 8, nil, func(s int, sh *Shard) float64 {
 			return linalg.Sum(sh.Rows[0])
-		})
+		}))
 		if len(partials) != 4 {
 			t.Fatalf("partials = %v", partials)
 		}
@@ -310,13 +311,13 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i) * 0.5
 		}
-		mat.SetRow(p, worker, 0, vals)
-		mat.SetRow(p, worker, 1, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
+		rdd.Check(mat.TrySetRow(p, worker, 1, vals))
 		m.Checkpoint(p, mat)
 
 		// Mutate after the checkpoint, then crash a server.
 		sv, _ := linalg.NewSparse([]int{0, 29}, []float64{100, 100})
-		mat.PushAdd(p, worker, 0, sv)
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		m.KillServer(1)
 		if m.Alive(1) {
 			t.Error("killed server still alive")
@@ -326,7 +327,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 			t.Error("recovered server not alive")
 		}
 
-		row := mat.PullRow(p, worker, 0)
+		row := rdd.Must(mat.TryPullRow(p, worker, 0))
 		lo, hi := mat.Part.(*Partitioner).Range(1)
 		for c := lo; c < hi; c++ {
 			if row[c] != vals[c] {
@@ -347,10 +348,10 @@ func TestRecoverWithoutCheckpointZeroes(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 20)
 		linalg.Fill(ones, 1)
-		mat.SetRow(p, worker, 0, ones)
+		rdd.Check(mat.TrySetRow(p, worker, 0, ones))
 		m.KillServer(0)
 		m.RecoverServer(p, 0)
-		row := mat.PullRow(p, worker, 0)
+		row := rdd.Must(mat.TryPullRow(p, worker, 0))
 		lo, hi := mat.Part.(*Partitioner).Range(0)
 		for c := lo; c < hi; c++ {
 			if row[c] != 0 {
@@ -392,10 +393,10 @@ func TestPushPullProperty(t *testing.T) {
 				idx := int(r) % dim
 				val := float64(i%13) - 6
 				sv, _ := linalg.NewSparse([]int{idx}, []float64{val})
-				mat.PushAdd(p, worker, 0, sv)
+				rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 				oracle[idx] += val
 			}
-			got := mat.PullRow(p, worker, 0)
+			got := rdd.Must(mat.TryPullRow(p, worker, 0))
 			for c := range oracle {
 				if math.Abs(got[c]-oracle[c]) > 1e-9 {
 					ok = false
@@ -420,9 +421,9 @@ func TestPullRowsBatched(t *testing.T) {
 			for c := range vals {
 				vals[c] = float64(r*100 + c)
 			}
-			mat.SetRow(p, worker, r, vals)
+			rdd.Check(mat.TrySetRow(p, worker, r, vals))
 		}
-		rows := mat.PullRows(p, worker, []int{3, 0, 2})
+		rows := rdd.Must(mat.TryPullRows(p, worker, []int{3, 0, 2}))
 		if rows[0][5] != 305 || rows[1][5] != 5 || rows[2][29] != 229 {
 			t.Errorf("PullRows wrong: %v %v %v", rows[0][5], rows[1][5], rows[2][29])
 		}
@@ -440,11 +441,11 @@ func TestPushRowsDelta(t *testing.T) {
 			d0[i] = 1
 			d2[i] = float64(i)
 		}
-		mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2})
-		mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2})
-		r0 := mat.PullRow(p, worker, 0)
-		r1 := mat.PullRow(p, worker, 1)
-		r2 := mat.PullRow(p, worker, 2)
+		rdd.Check(mat.TryPushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2}))
+		rdd.Check(mat.TryPushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2}))
+		r0 := rdd.Must(mat.TryPullRow(p, worker, 0))
+		r1 := rdd.Must(mat.TryPullRow(p, worker, 1))
+		r2 := rdd.Must(mat.TryPullRow(p, worker, 2))
 		for i := range r0 {
 			if r0[i] != 2 || r1[i] != 0 || r2[i] != 2*float64(i) {
 				t.Fatalf("PushRowsDelta wrong at %d: %v %v %v", i, r0[i], r1[i], r2[i])
@@ -462,9 +463,9 @@ func TestPullSetRowRange(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i)
 		}
-		mat.SetRow(p, worker, 0, vals)
+		rdd.Check(mat.TrySetRow(p, worker, 0, vals))
 		// Range spanning two server boundaries.
-		got := mat.PullRowRange(p, worker, 0, 7, 23)
+		got := rdd.Must(mat.TryPullRowRange(p, worker, 0, 7, 23))
 		if len(got) != 16 {
 			t.Fatalf("range length %d", len(got))
 		}
@@ -477,8 +478,8 @@ func TestPullSetRowRange(t *testing.T) {
 		for i := range repl {
 			repl[i] = -1
 		}
-		mat.SetRowRange(p, worker, 0, 7, 23, repl)
-		full := mat.PullRow(p, worker, 0)
+		rdd.Check(mat.TrySetRowRange(p, worker, 0, 7, 23, repl))
+		full := rdd.Must(mat.TryPullRow(p, worker, 0))
 		for i := range full {
 			want := float64(i)
 			if i >= 7 && i < 23 {
@@ -498,15 +499,15 @@ func TestPullRowCompressedCheaper(t *testing.T) {
 			mat, _ := m.CreateMatrix(p, 1, 100000)
 			worker := cl.Executors[0]
 			sv, _ := linalg.NewSparse([]int{3, 70000}, []float64{1, 2})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 			cl.Executors[1].BytesRecv = 0
 			if compressed {
-				got := mat.PullRowCompressed(p, cl.Executors[1], 0)
+				got := rdd.Must(mat.TryPullRowCompressed(p, cl.Executors[1], 0))
 				if got[3] != 1 || got[70000] != 2 {
 					t.Errorf("compressed pull values wrong")
 				}
 			} else {
-				mat.PullRow(p, cl.Executors[1], 0)
+				rdd.Must(mat.TryPullRow(p, cl.Executors[1], 0))
 			}
 		})
 		return cl.Executors[1].BytesRecv
@@ -525,7 +526,7 @@ func TestRangeOpsValidation(t *testing.T) {
 				t.Error("out-of-range PullRowRange did not panic")
 			}
 		}()
-		mat.PullRowRange(p, cl.Executors[0], 0, 5, 20)
+		rdd.Must(mat.TryPullRowRange(p, cl.Executors[0], 0, 5, 20))
 	})
 }
 

@@ -141,12 +141,6 @@ func (rs *HotReplicaSet) Matrix() *Matrix { return rs.mat }
 // Stats returns the master-wide replication counters.
 func (rs *HotReplicaSet) Stats() ReplicaStats { return rs.mat.master.Replica }
 
-// Tick advances the matrix's model clock. Replica freshness rides that
-// clock directly (Matrix.TickClock), and trainers tick it as part of their
-// iteration — a serving caller never needs to call this. Kept as a shim for
-// drivers that step the clock by hand.
-func (rs *HotReplicaSet) Tick() { rs.mat.TickClock() }
-
 // Clock returns the matrix model clock replica freshness is judged against.
 func (rs *HotReplicaSet) Clock() int64 { return rs.mat.clock }
 
@@ -165,15 +159,6 @@ func TopKCols(weight []float64, k int) []int {
 	top := append([]int(nil), idx[:k]...)
 	sort.Ints(top)
 	return top
-}
-
-// PullRowIndices is TryPullRowIndices panicking on exhausted retries.
-func (rs *HotReplicaSet) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) []float64 {
-	out, err := rs.TryPullRowIndices(p, from, row, indices)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // TryPullRowIndices is the replica-aware sparse pull: replicated columns are

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -40,7 +41,7 @@ func TestSnapshotBitIdenticalUnderPushes(t *testing.T) {
 		// Storm of pushes, repeatedly overwriting pinned elements.
 		for round := 0; round < 5; round++ {
 			sv, _ := linalg.NewSparse([]int{3, 9, 20, 31}, []float64{1, -2, 0.5, float64(round)})
-			mat.PushAdd(p, worker, 0, sv)
+			rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 			got, err := snap.TryReadRowIndices(p, worker, 0, idx)
 			if err != nil {
 				t.Fatalf("round %d snapshot read: %v", round, err)
@@ -53,7 +54,7 @@ func TestSnapshotBitIdenticalUnderPushes(t *testing.T) {
 			}
 		}
 		// The live model must have moved where the pushes landed.
-		live := mat.PullRowIndices(p, worker, 0, idx)
+		live := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
 		if live[1] == base[1] || live[7] == base[7] {
 			t.Fatalf("live read did not see pushes: live %v, pinned %v", live, base)
 		}
@@ -98,7 +99,7 @@ func TestSnapshotFencedByRecovery(t *testing.T) {
 		// Push past the checkpoint, then lose and restore the first server:
 		// the restored shard no longer holds the pinned values.
 		sv, _ := linalg.NewSparse([]int{0, 5}, []float64{10, 10})
-		mat.PushAdd(p, worker, 0, sv)
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		m.KillServer(0)
 		m.RecoverServer(p, 0)
 
@@ -123,7 +124,7 @@ func TestSnapshotFencedByRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-pinned read: %v", err)
 		}
-		want := mat.PullRowIndices(p, worker, 0, idx)
+		want := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("re-pinned col %d = %v, live %v", idx[k], got[k], want[k])
@@ -198,7 +199,7 @@ func TestSnapshotChaosMigration(t *testing.T) {
 		g.Go("pusher", func(cp *simnet.Proc) {
 			for i := 0; i < 20; i++ {
 				sv, _ := linalg.NewSparse([]int{4, 18, 31}, []float64{1, 1, 1})
-				mat.PushAdd(cp, cl.Executors[1], 0, sv)
+				rdd.Check(mat.TryPushAdd(cp, cl.Executors[1], 0, sv))
 				cp.Sleep(0.005)
 			}
 		})
@@ -242,7 +243,7 @@ func TestSnapshotChaosMigration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-migration read: %v", err)
 		}
-		want := mat.PullRowIndices(p, worker, 0, idx)
+		want := rdd.Must(mat.TryPullRowIndices(p, worker, 0, idx))
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("post-migration col %d = %v, live %v", idx[k], got[k], want[k])
@@ -364,7 +365,7 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 		// The model changes and the trainer ticks the matrix clock — exactly
 		// what lr/deepwalk do each iteration. No rs.Tick() anywhere.
 		sv, _ := linalg.NewSparse([]int{1, 3}, []float64{100, 100})
-		mat.PushAdd(p, worker, 0, sv)
+		rdd.Check(mat.TryPushAdd(p, worker, 0, sv))
 		mat.TickClock()
 		if rs.Clock() != mat.Clock() {
 			t.Fatalf("replica clock %d detached from matrix clock %d", rs.Clock(), mat.Clock())

@@ -3,6 +3,7 @@ package ps
 import (
 	"testing"
 
+	"repro/internal/consistency"
 	"repro/internal/simnet"
 )
 
@@ -18,7 +19,7 @@ func TestSSPClockBSPLockstep(t *testing.T) {
 		d := simnet.Time(w+1) * 0.1
 		sim.Spawn("worker", func(p *simnet.Proc) {
 			for it := 0; it < iters; it++ {
-				clock.WaitTurn(p, w, it, 0)
+				clock.WaitPolicy(p, consistency.NewClockBounded(0), it)
 				trace = append(trace, it)
 				p.Sleep(d)
 				clock.Tick(w)
@@ -51,7 +52,7 @@ func TestSSPClockBoundedDrift(t *testing.T) {
 		d := simnet.Time(w*w+1) * 0.01 // heterogenous speeds
 		sim.Spawn("worker", func(p *simnet.Proc) {
 			for it := 0; it < iters; it++ {
-				clock.WaitTurn(p, w, it, staleness)
+				clock.WaitPolicy(p, consistency.NewClockBounded(staleness), it)
 				if clock.MinClock() < it-staleness {
 					violated = true
 				}
@@ -83,7 +84,7 @@ func TestSSPFasterThanBSPUnderStraggler(t *testing.T) {
 			}
 			sim.Spawn("worker", func(p *simnet.Proc) {
 				for it := 0; it < 10; it++ {
-					clock.WaitTurn(p, w, it, staleness)
+					clock.WaitPolicy(p, consistency.NewClockBounded(staleness), it)
 					p.Sleep(d)
 					clock.Tick(w)
 				}

@@ -147,9 +147,9 @@ func runTasks[T, U any](p *simnet.Proc, r *RDD[T], resultBytes func(U) float64, 
 }
 
 // runAttempt executes one attempt of a task body, converting the taskFailed
-// sentinel — and the node-down errors the PS client layer panics with when
-// the task's machine crashes under it — into a clean retry, while letting
-// real panics (and the simulation's shutdown unwind) propagate.
+// sentinel — and a node-down error a task body panics with (through Must or
+// Check) when its machine crashes under it — into a clean retry, while
+// letting real panics (and the simulation's shutdown unwind) propagate.
 func runAttempt[T, U any](tc *TaskContext, part int, r *RDD[T], body func(tc *TaskContext, part int, rows []T) U) (res U, ok bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -166,6 +166,24 @@ func runAttempt[T, U any](tc *TaskContext, part int, r *RDD[T], body func(tc *Ta
 	}()
 	rows := r.materialize(tc, part)
 	return body(tc, part, rows), true
+}
+
+// Must returns v, panicking with err unchanged when it is non-nil. It is how
+// code with no error return — task bodies, tests, small helpers — calls the
+// ps and dcv Try* operators. Inside a task the panic meets runAttempt: an
+// error wrapping simnet.ErrNodeDown on a crashed executor becomes a task
+// retry, and anything else (ps.ErrServerDown after exhausted retries)
+// propagates. Driver code that can return an error should return it instead.
+func Must[T any](v T, err error) T {
+	Check(err)
+	return v
+}
+
+// Check is Must for operators that return only an error.
+func Check(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // ForeachPartition runs f over every partition for its side effects (such as

@@ -16,6 +16,8 @@ package wire
 
 import (
 	"bufio"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -84,6 +86,7 @@ type endpoint struct {
 type Client struct {
 	eps   []*endpoint
 	retry Retry
+	id    uint64 // random, non-zero; scopes request IDs on the servers
 
 	mu          sync.Mutex
 	reqSeq      uint64
@@ -102,12 +105,30 @@ func NewClient(addrs []string, retry Retry) *Client {
 	c := &Client{
 		eps:         make([]*endpoint, len(addrs)),
 		retry:       retry,
+		id:          newClientID(),
 		outstanding: make(map[uint64]struct{}),
 	}
 	for i, a := range addrs {
 		c.eps[i] = &endpoint{addr: a, pool: make(chan *poolConn, poolSize)}
 	}
 	return c
+}
+
+// newClientID draws a random non-zero client ID (zero is left to hand-built
+// frames that carry none). Every client numbers its requests from 1, so the
+// servers' dedup state is keyed by this ID too. A failing crypto/rand means
+// the platform has no entropy source, which the Go runtime itself treats as
+// fatal from 1.24 on.
+func newClientID() uint64 {
+	var b [8]byte
+	for {
+		if _, err := rand.Read(b[:]); err != nil {
+			panic(fmt.Sprintf("wire: client ID: %v", err))
+		}
+		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
+			return id
+		}
+	}
 }
 
 // Servers returns the endpoint count.
@@ -210,7 +231,7 @@ func (c *Client) callDecode(s int, op byte, mutates bool, payload []byte, decode
 	if mutates {
 		flags = FlagMutates
 	}
-	f := Frame{Op: op, Flags: flags, ReqID: reqID, AckedTo: ackedTo, Payload: payload}
+	f := Frame{Op: op, Flags: flags, Client: c.id, ReqID: reqID, AckedTo: ackedTo, Payload: payload}
 
 	backoff := c.retry.Backoff
 	var lastClass error = ErrEndpointDown

@@ -275,10 +275,7 @@ func TestConformanceExactlyOnce(t *testing.T) {
 	// re-apply, which is fine — the client guarantees it never resends
 	// acknowledged IDs. Here we only check the prune happened.
 	send(Frame{Op: OpPullSparse, AckedTo: 2, Payload: encodePullSparseReq(1, 0, []int{3})})
-	srv.mu.Lock()
-	n := len(srv.applied)
-	srv.mu.Unlock()
-	if n != 0 {
+	if n := appliedEntries(srv); n != 0 {
 		t.Fatalf("applied-set has %d entries after watermark prune, want 0", n)
 	}
 }
@@ -298,12 +295,9 @@ func TestClientWatermarkAdvances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.mu.Lock()
-	n := len(srv.applied)
-	srv.mu.Unlock()
 	// Sequential calls: at most the latest entry survives (its ack rides
 	// the next request).
-	if n > 1 {
+	if n := appliedEntries(srv); n > 1 {
 		t.Fatalf("applied-set has %d entries after 51 sequential mutations, want ≤ 1", n)
 	}
 	vals, err := c.PullSparse(0, 1, 0, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})

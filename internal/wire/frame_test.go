@@ -11,8 +11,8 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range []Frame{
 		{Op: OpPing},
-		{Op: OpPushAdd, Flags: FlagMutates, ReqID: 42, AckedTo: 17, Payload: []byte("hello")},
-		{Op: OpFused, Flags: FlagMutates, ReqID: 1 << 60, AckedTo: 1<<60 - 1, Payload: make([]byte, 4096)},
+		{Op: OpPushAdd, Flags: FlagMutates, Client: 9, ReqID: 42, AckedTo: 17, Payload: []byte("hello")},
+		{Op: OpFused, Flags: FlagMutates, Client: 1<<64 - 1, ReqID: 1 << 60, AckedTo: 1<<60 - 1, Payload: make([]byte, 4096)},
 	} {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, f); err != nil {
@@ -22,7 +22,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Op != f.Op || got.Flags != f.Flags || got.ReqID != f.ReqID || got.AckedTo != f.AckedTo {
+		if got.Op != f.Op || got.Flags != f.Flags || got.Client != f.Client || got.ReqID != f.ReqID || got.AckedTo != f.AckedTo {
 			t.Fatalf("header mismatch: %+v vs %+v", got, f)
 		}
 		if !bytes.Equal(got.Payload, f.Payload) {

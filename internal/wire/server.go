@@ -4,8 +4,8 @@ package wire
 // listener owning a set of column-range matrix shards, applying the decoded
 // operators against local memory under one mutex, with the same
 // exactly-once contract rpc.go gives the simulated servers — an applied-set
-// keyed by request ID whose entries replay their cached response on a
-// duplicate and are pruned by the client's acknowledgement watermark.
+// keyed by client and request ID whose entries replay their cached response
+// on a duplicate and are pruned by that client's acknowledgement watermark.
 
 import (
 	"bufio"
@@ -52,7 +52,7 @@ type shardStore struct {
 type Server struct {
 	mu      sync.Mutex
 	mats    map[uint32]*shardStore
-	applied map[uint64][]byte // reqID → cached response payload
+	applied map[uint64]map[uint64][]byte // client → reqID → cached response payload
 	stats   ServerStats
 
 	ln     net.Listener
@@ -65,7 +65,7 @@ type Server struct {
 func NewServer() *Server {
 	return &Server{
 		mats:    make(map[uint32]*shardStore),
-		applied: make(map[uint64][]byte),
+		applied: make(map[uint64]map[uint64][]byte),
 		conns:   make(map[net.Conn]struct{}),
 	}
 }
@@ -199,15 +199,16 @@ func (s *Server) handle(f Frame, sc *connScratch) (resp []byte, appErr error) {
 	s.stats.Requests++
 
 	// Retire dedup entries the client can never resend.
+	applied := s.applied[f.Client]
 	if f.AckedTo > 0 {
-		for id := range s.applied {
+		for id := range applied {
 			if id <= f.AckedTo {
-				delete(s.applied, id)
+				delete(applied, id)
 			}
 		}
 	}
 	if f.Mutates() && f.ReqID != 0 {
-		if cached, ok := s.applied[f.ReqID]; ok {
+		if cached, ok := applied[f.ReqID]; ok {
 			s.stats.DedupHits++
 			return cached, nil
 		}
@@ -222,7 +223,11 @@ func (s *Server) handle(f Frame, sc *connScratch) (resp []byte, appErr error) {
 		if len(resp) > 0 {
 			cached = append([]byte(nil), resp...)
 		}
-		s.applied[f.ReqID] = cached
+		if applied == nil {
+			applied = make(map[uint64][]byte)
+			s.applied[f.Client] = applied
+		}
+		applied[f.ReqID] = cached
 	}
 	return resp, appErr
 }
@@ -304,10 +309,14 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i, c := range cols {
+		// Validate every column before applying any: a rejected push must
+		// leave the shard untouched.
+		for _, c := range cols {
 			if c < sh.lo || c >= sh.hi {
 				return nil, fmt.Errorf("wire: column %d outside shard [%d,%d)", c, sh.lo, sh.hi)
 			}
+		}
+		for i, c := range cols {
 			data[c-sh.lo] += vals[i]
 		}
 		return nil, nil

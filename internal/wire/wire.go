@@ -12,11 +12,14 @@
 // and maps the same at-least-once machinery onto real time:
 //
 //   - every mutating request carries a client-assigned request ID; servers
-//     keep an applied-set and replay the cached response on a duplicate,
-//     so lost responses never double-apply an update (mirrors rpc.go);
+//     keep an applied-set per client and replay the cached response on a
+//     duplicate, so lost responses never double-apply an update (mirrors
+//     rpc.go). Request IDs are only unique within one client, so every
+//     frame also carries the client's random 64-bit ID;
 //   - every request carries the client's acknowledgement watermark — the
 //     highest request ID below which nothing is still in flight — and the
-//     server prunes applied entries at or below it (mirrors pruneApplied);
+//     server prunes that client's applied entries at or below it (mirrors
+//     pruneApplied);
 //   - a lost or stalled exchange surfaces as a connection deadline expiry,
 //     which the client maps onto the same RetryConfig schedule the simnet
 //     backend uses: resend after TimeoutSec, exponential backoff capped at
@@ -28,6 +31,7 @@
 //	magic   uint16  0x5053 ("PS")
 //	op      uint8   opcode, Op* below
 //	flags   uint8   bit 0: request mutates server state (dedup applies)
+//	client  uint64  random client ID; scopes reqID and ackedTo
 //	reqID   uint64  dedup ID; 0 for read-only requests
 //	ackedTo uint64  client's acknowledgement watermark
 //	plen    uint32  payload length, ≤ MaxPayload
@@ -92,7 +96,7 @@ type ServerError struct{ Msg string }
 func (e *ServerError) Error() string { return "wire: server error: " + e.Msg }
 
 const (
-	reqHeaderLen  = 24
+	reqHeaderLen  = 32
 	respHeaderLen = 8
 )
 
@@ -100,6 +104,7 @@ const (
 type Frame struct {
 	Op      byte
 	Flags   byte
+	Client  uint64
 	ReqID   uint64
 	AckedTo uint64
 	Payload []byte
@@ -117,9 +122,10 @@ func WriteFrame(w io.Writer, f Frame) error {
 	binary.LittleEndian.PutUint16(h[0:], Magic)
 	h[2] = f.Op
 	h[3] = f.Flags
-	binary.LittleEndian.PutUint64(h[4:], f.ReqID)
-	binary.LittleEndian.PutUint64(h[12:], f.AckedTo)
-	binary.LittleEndian.PutUint32(h[20:], uint32(len(f.Payload)))
+	binary.LittleEndian.PutUint64(h[4:], f.Client)
+	binary.LittleEndian.PutUint64(h[12:], f.ReqID)
+	binary.LittleEndian.PutUint64(h[20:], f.AckedTo)
+	binary.LittleEndian.PutUint32(h[28:], uint32(len(f.Payload)))
 	if _, err := w.Write(h[:]); err != nil {
 		return err
 	}
@@ -154,14 +160,15 @@ func ReadFrameReuse(r io.Reader, f *Frame, buf *[]byte) error {
 	if m := binary.LittleEndian.Uint16(h[0:]); m != Magic {
 		return fmt.Errorf("wire: bad magic %#x", m)
 	}
-	plen := binary.LittleEndian.Uint32(h[20:])
+	plen := binary.LittleEndian.Uint32(h[28:])
 	if plen > MaxPayload {
 		return fmt.Errorf("wire: payload %d exceeds cap %d", plen, MaxPayload)
 	}
 	f.Op = h[2]
 	f.Flags = h[3]
-	f.ReqID = binary.LittleEndian.Uint64(h[4:])
-	f.AckedTo = binary.LittleEndian.Uint64(h[12:])
+	f.Client = binary.LittleEndian.Uint64(h[4:])
+	f.ReqID = binary.LittleEndian.Uint64(h[12:])
+	f.AckedTo = binary.LittleEndian.Uint64(h[20:])
 	f.Payload = nil
 	if plen > 0 {
 		p := grow(buf, int(plen))
